@@ -1,14 +1,17 @@
 //! The Table I leg: `StcoFlow::run_iteration`, closed loop with one
-//! caller, on s298 and s1488 (LTPS) at corners drawn by the seed.
+//! caller, on the workload's loop designs (LTPS) at corners drawn by
+//! the seed.
 //!
-//! The fast flow repeats round-robin over every (benchmark, corner)
-//! pair until its time budget is spent; the traditional flow runs once
-//! per supply. Corners are stratified on V_DD (see [`corners`]).
+//! The traditional flow cycles over three supplies; the fast flow
+//! repeats round-robin over every (benchmark, corner) pair. Corners are
+//! stratified on V_DD (see [`corners`]).
 
 use std::time::Instant;
 
 use stco_compact::tech::{Corner, CornerGrid};
-use stco_core::flow::{IterationResult, StcoFlow, TechnologyStage, TrainedSurrogates};
+use stco_core::flow::{
+    IterationResult, StageSeconds, StcoFlow, TechnologyStage, TrainedSurrogates,
+};
 use stco_numerics::rng::Xorshift;
 
 /// Supplies of the three corners, V: spread over the upper two thirds
@@ -37,12 +40,14 @@ pub fn corners(seed: u64) -> Vec<Corner> {
         .collect()
 }
 
-/// One timed iteration.
+/// One timed iteration. Only the times are kept: a run holds hundreds
+/// of iterations, and their PPA reports would inflate `peak_rss_mb` in
+/// step with the iteration count.
 pub struct Timed {
     /// Wall time around `run_iteration`, s.
     pub wall_s: f64,
-    /// The result the public API returned.
-    pub result: IterationResult,
+    /// The stage times the public API returned.
+    pub seconds: StageSeconds,
 }
 
 /// Outcome of the leg.
@@ -50,7 +55,7 @@ pub struct Timed {
 pub struct LoopOutcome {
     /// Fast iterations, in run order.
     pub fast: Vec<Timed>,
-    /// Traditional iterations, one per corner.
+    /// Traditional iterations, in run order.
     pub trad: Vec<Timed>,
     /// Iterations attempted.
     pub attempted: usize,
@@ -63,15 +68,16 @@ fn timed(
     corner: Corner,
     stage: TechnologyStage,
     surrogates: Option<&TrainedSurrogates>,
-) -> Result<Timed, String> {
+) -> Result<(Timed, IterationResult), String> {
     let t0 = Instant::now();
     let result = flow
         .run_iteration(corner, stage, surrogates)
         .map_err(|e| format!("{} {stage:?} at {corner:?}: {e}", flow.logic().name))?;
-    Ok(Timed {
+    let t = Timed {
         wall_s: t0.elapsed().as_secs_f64(),
-        result,
-    })
+        seconds: result.seconds,
+    };
+    Ok((t, result))
 }
 
 /// Bit pattern of everything an iteration decides: PPA and the
@@ -118,66 +124,102 @@ pub fn trad_corners() -> Vec<Corner> {
     SUPPLIES.iter().map(|&vdd| Corner::nominal(vdd)).collect()
 }
 
-/// Runs the traditional flow once per [`trad_corners`] corner, then the
-/// fast flow round-robin over (benchmark, corner) pairs until
-/// `fast_budget_s` has passed and at least `min_fast` iterations ran.
-/// Repeated fast iterations of a pair must agree bitwise.
-pub fn run(
-    flows: &[StcoFlow],
-    corners: &[Corner],
-    surrogates: &TrainedSurrogates,
-    fast_budget_s: f64,
-    min_fast: usize,
-) -> LoopOutcome {
-    let mut out = LoopOutcome::default();
-    for (k, corner) in trad_corners().iter().enumerate() {
-        let flow = &flows[k % flows.len()];
-        out.attempted += 1;
-        match timed(flow, *corner, TechnologyStage::Traditional, None) {
-            Ok(t) => {
-                if let Err(e) = check_ppa(&t.result) {
-                    out.failures.push(e);
-                }
-                out.trad.push(t);
-            }
-            Err(e) => out.failures.push(e),
+/// The leg in progress: the run calls [`TableLoop::trad`] and
+/// [`TableLoop::fast`] a little in each round, so every figure's
+/// samples spread over the whole run.
+pub struct TableLoop<'a> {
+    flows: &'a [StcoFlow],
+    /// Every (benchmark, corner) pair of the fast flow, and the first
+    /// result's bit pattern for each.
+    pairs: Vec<(&'a StcoFlow, Corner, Option<Vec<u64>>)>,
+    surrogates: &'a TrainedSurrogates,
+    /// Traditional iterations attempted so far.
+    trad_runs: usize,
+    out: LoopOutcome,
+}
+
+impl<'a> TableLoop<'a> {
+    pub fn new(
+        flows: &'a [StcoFlow],
+        corners: &[Corner],
+        surrogates: &'a TrainedSurrogates,
+    ) -> TableLoop<'a> {
+        let pairs = flows
+            .iter()
+            .flat_map(|f| corners.iter().map(move |c| (f, *c, None)))
+            .collect();
+        TableLoop {
+            flows,
+            pairs,
+            surrogates,
+            trad_runs: 0,
+            out: LoopOutcome::default(),
         }
     }
-    let pairs: Vec<(&StcoFlow, Corner)> = flows
-        .iter()
-        .flat_map(|f| corners.iter().map(move |c| (f, *c)))
-        .collect();
-    let mut reference: Vec<Option<Vec<u64>>> = vec![None; pairs.len()];
-    let start = Instant::now();
-    while start.elapsed().as_secs_f64() < fast_budget_s || out.fast.len() < min_fast {
-        for (p, (flow, corner)) in pairs.iter().enumerate() {
-            out.attempted += 1;
-            let t = match timed(flow, *corner, TechnologyStage::Fast, Some(surrogates)) {
-                Ok(t) => t,
-                Err(e) => {
-                    out.failures.push(e);
-                    continue;
+
+    /// One traditional iteration: the k-th runs benchmark k and supply
+    /// k of [`trad_corners`], both cycling.
+    pub fn trad(&mut self) {
+        let k = self.trad_runs;
+        self.trad_runs += 1;
+        let corners = trad_corners();
+        let flow = &self.flows[k % self.flows.len()];
+        self.out.attempted += 1;
+        match timed(
+            flow,
+            corners[k % corners.len()],
+            TechnologyStage::Traditional,
+            None,
+        ) {
+            Ok((t, result)) => {
+                if let Err(e) = check_ppa(&result) {
+                    self.out.failures.push(e);
                 }
-            };
-            let bits = fingerprint(&t.result);
-            match &reference[p] {
-                None => {
-                    if let Err(e) = check_ppa(&t.result) {
-                        out.failures.push(e);
+                self.out.trad.push(t);
+            }
+            Err(e) => self.out.failures.push(e),
+        }
+    }
+
+    /// Whole round-robin passes of fast iterations over the pairs until
+    /// at least `count` more ran. Repeated fast iterations of a pair must
+    /// agree bitwise.
+    pub fn fast(&mut self, count: usize) {
+        let target = self.out.fast.len() + count;
+        while self.out.fast.len() < target {
+            for (flow, corner, reference) in &mut self.pairs {
+                self.out.attempted += 1;
+                let (t, result) =
+                    match timed(flow, *corner, TechnologyStage::Fast, Some(self.surrogates)) {
+                        Ok(r) => r,
+                        Err(e) => {
+                            self.out.failures.push(e);
+                            continue;
+                        }
+                    };
+                let bits = fingerprint(&result);
+                match reference {
+                    None => {
+                        if let Err(e) = check_ppa(&result) {
+                            self.out.failures.push(e);
+                        }
+                        *reference = Some(bits);
                     }
-                    reference[p] = Some(bits);
+                    Some(first) if *first != bits => self.out.failures.push(format!(
+                        "{} at {corner:?}: repeated fast iteration changed PPA or extracted parameters",
+                        flow.logic().name
+                    )),
+                    Some(_) => {}
                 }
-                Some(first) if *first != bits => out.failures.push(format!(
-                    "{} at {corner:?}: repeated fast iteration changed PPA or extracted parameters",
-                    flow.logic().name
-                )),
-                Some(_) => {}
+                self.out.fast.push(t);
             }
-            out.fast.push(t);
-        }
-        if out.failures.len() > 16 {
-            break;
+            if self.out.failures.len() > 16 {
+                break;
+            }
         }
     }
-    out
+
+    pub fn finish(self) -> LoopOutcome {
+        self.out
+    }
 }

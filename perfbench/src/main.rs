@@ -2,17 +2,18 @@
 //!
 //! ```text
 //! cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
-//!     --workload table1_loop --seed 1 --seconds 15 --trace 0
+//!     --workload table1_loop --seed 1 --seconds 45 --trace 0
 //! ```
 //!
 //! Every run sets up the surrogate environment (several times, median
-//! reported as `setup_s`) and then runs four legs in one process: the
-//! open-loop cell server, the fast-flow sweep, the traditional Table I
-//! iterations and the fast Table I loop. The workload decides the
-//! inputs and how much of the run each leg gets (see `README.md`). With
-//! `--trace 0` the last stdout line carries every end-to-end metric;
-//! with `--trace 1` the same legs run, followed by the goodput search
-//! and the per-layer pass, and the last line carries every per-layer
+//! reported as `setup_s`) and runs the legs behind the end-to-end
+//! metrics on the workload's designs: the fast-flow sweep, the
+//! traditional Table I iterations and the fast Table I loop, in
+//! interleaved rounds, plus the open-loop cell server on `table1_loop`
+//! before them. With `--trace 0` the last stdout line carries every
+//! end-to-end metric; with `--trace 1` the same legs run, followed by
+//! the serving leg where the workload has none, the goodput search and
+//! the per-layer pass, and the last line carries every per-layer
 //! metric.
 //!
 //! Exit status: 0 when every output check passed, 1 when one failed
@@ -44,10 +45,15 @@ use stco_tcad::materials::Technology;
 
 use report::Report;
 
-/// Set-up reps per run (`setup_s` is their median).
-const SETUP_REPS: usize = 3;
-/// Sweep reps per run (`sweep_scen_per_s` is their median).
-const SWEEP_REPS: usize = 3;
+/// Rounds per run: each runs a set-up rep (`setup_s` is the median of
+/// these and the first rep, whose models the legs use), a sweep rep
+/// (`sweep_scen_per_s` is the median rep), traditional iterations and an
+/// equal share of the fast loop, so that a burst of load from the host's
+/// other tenants lands on a few samples of every figure rather than on
+/// all samples of one.
+const ROUNDS: usize = 5;
+/// Traditional iterations per round.
+const TRAD_PER_ROUND: usize = 2;
 /// Goodput searches per traced run (`serve.goodput_rps` is their median).
 const GOODPUT_SEARCHES: usize = 3;
 /// Fixed-rate (lo, hi) step pairs per run.
@@ -62,13 +68,14 @@ const P99_LIMIT_MS: f64 = 50.0;
 /// Fewest fast iterations in any run (p90 needs ≥ 100 for 10 beyond).
 const MIN_FAST: usize = 120;
 
-/// A named set of inputs and the share of the run each leg gets.
+/// A named set of designs. Every leg behind an end-to-end metric runs
+/// on the workload's designs, so no figure is measured twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
-    /// Closed-loop Table I iteration on s298/s1488; the fast loop fills
-    /// the run.
+    /// Small designs (s298/s1488): the Table I loop is most of the run;
+    /// the cell server runs at fixed rates.
     Table1Loop,
-    /// Closed-loop fast-flow sweep over the two largest designs.
+    /// Large designs (32bit MAC/Darkriscv): the sweep is most of the run.
     SweepLarge,
 }
 
@@ -88,13 +95,42 @@ impl Workload {
         }
     }
 
-    /// Benchmarks the sweep leg covers, and the corner-grid levels per
-    /// axis: both sweeps take a few seconds a rep.
+    /// Designs of the Table I loop. Darkriscv is left out of the large
+    /// loop: at about 240 ms a fast iteration, the 100 samples p90 needs
+    /// would not fit a run.
+    fn loop_designs(self) -> &'static [Benchmark] {
+        match self {
+            Workload::Table1Loop => &[Benchmark::S298, Benchmark::S1488],
+            Workload::SweepLarge => &[Benchmark::Mac32],
+        }
+    }
+
+    /// Designs of the sweep, and the corner-grid levels per axis: 162
+    /// and 48 scenarios, about 2.5 s a rep either way.
     fn sweep(self) -> ([Benchmark; 2], usize) {
         match self {
             Workload::Table1Loop => ([Benchmark::S298, Benchmark::S1488], 3),
             Workload::SweepLarge => ([Benchmark::Mac32, Benchmark::Darkriscv], 2),
         }
+    }
+
+    /// Fast iterations per second of `--seconds`, sized so that a run
+    /// measures about `--seconds` on a 2-vCPU x86-64 host. The count is
+    /// fixed by `--seconds`, not by how fast the host runs, because the
+    /// program's resident set grows with each fast iteration: a
+    /// time-filled loop would make `peak_rss_mb` track the host's load.
+    fn fast_per_second(self) -> f64 {
+        match self {
+            Workload::Table1Loop => 10.0,
+            Workload::SweepLarge => 6.0,
+        }
+    }
+
+    /// Whether the fixed-rate serving leg counts into the end-to-end
+    /// metrics (its reply checks into `ok_ratio`). Elsewhere it runs in
+    /// traced runs only, for the per-layer `serve.*` figures.
+    fn serves(self) -> bool {
+        self == Workload::Table1Loop
     }
 }
 
@@ -204,33 +240,104 @@ fn run(args: &Args) -> Result<Report, String> {
     let dir = RunDir::create()?;
     let workload = args.workload;
     let mut rep = Report::default();
-    let build = |b: Benchmark| {
-        StcoFlow::new(FlowConfig::fast(Technology::Ltps, b))
+    let build = |b: &Benchmark| {
+        StcoFlow::new(FlowConfig::fast(Technology::Ltps, *b))
             .map_err(|e| format!("flow {}: {e}", b.name()))
     };
-    let loop_flows = vec![build(Benchmark::S298)?, build(Benchmark::S1488)?];
+    let flows = |designs: &[Benchmark]| designs.iter().map(build).collect::<Result<Vec<_>, _>>();
+    // The environment is the same for every workload: the cell model
+    // learns the library cells of the paper's Table I designs.
+    let table1_flows = flows(Workload::Table1Loop.loop_designs())?;
     let char_config = FlowConfig::fast(Technology::Ltps, Benchmark::S298).char_config;
-    let mut cells: Vec<CellType> = loop_flows.iter().flat_map(|f| f.cells().to_vec()).collect();
+    let mut cells: Vec<CellType> = table1_flows
+        .iter()
+        .flat_map(|f| f.cells().to_vec())
+        .collect();
     cells.sort_by_key(|c| c.kind);
     cells.dedup_by_key(|c| c.kind);
+    let loop_flows = flows(workload.loop_designs())?;
 
-    // Set-up: the environment, cold, several times.
-    let mut setups = Vec::with_capacity(SETUP_REPS);
-    let mut bundle = None;
-    for k in 0..SETUP_REPS {
-        let (b, t) = setup::build_bundle(&dir.0.join(format!("setup-{k}")), &cells, &char_config)?;
-        setups.push(t);
-        bundle = Some(b);
-    }
-    let bundle = bundle.expect("SETUP_REPS > 0");
-    rep.setup = setups;
-    let measure_start = Instant::now();
-
-    // Leg 1: open-loop serving at the fixed rates (first, so server
-    // counters start at zero).
-    let registry_dir = dir.0.join(format!("setup-{}", SETUP_REPS - 1));
+    // Set-up: the environment, cold. The legs use the first rep's
+    // models; the other reps are spread over the rounds.
+    let setup_rep =
+        |k: usize| setup::build_bundle(&dir.0.join(format!("setup-{k}")), &cells, &char_config);
+    let (bundle, first) = setup_rep(0)?;
+    rep.setup.push(first);
+    let registry_dir = dir.0.join("setup-0");
     let key = ArtifactKey::from_parts(CellModel::ARTIFACT_KIND, &["perfbench"]);
-    let mut rig = serve::ServeRig::start(&registry_dir, key, &cells, args.seed)?;
+
+    if workload.serves() {
+        serve_leg(&registry_dir, key, &cells, args, &mut rep)?;
+    }
+
+    let (sweep_benchmarks, levels) = workload.sweep();
+    let spec = sweepleg::spec(args.seed, &sweep_benchmarks, levels);
+    let corners = flowleg::corners(args.seed);
+    let mut table1 = flowleg::TableLoop::new(&loop_flows, &corners, &bundle);
+    let fast_total = ((args.seconds * workload.fast_per_second()) as usize).max(MIN_FAST);
+    let fast_per_round = fast_total.div_ceil(ROUNDS);
+    let records_before = counter("sweep.records_written");
+    let start = Instant::now();
+    for round in 0..ROUNDS {
+        rep.setup.push(setup_rep(round + 1)?.1);
+        // The fast-flow sweep, in a fresh journal.
+        match sweepleg::run_rep(&dir.0.join(format!("sweep-{round}")), &spec, &bundle) {
+            Ok(r) => rep.sweeps.push(r),
+            Err(e) => rep.failures.push(e),
+        }
+        rep.attempted += spec.scenario_count();
+        for _ in 0..TRAD_PER_ROUND {
+            table1.trad();
+        }
+        table1.fast(fast_per_round);
+    }
+    rep.records_written = counter("sweep.records_written") - records_before;
+    rep.measured_s = start.elapsed().as_secs_f64();
+    let outcome = table1.finish();
+    rep.attempted += outcome.attempted;
+    rep.failures.extend(outcome.failures.iter().cloned());
+    rep.loop_outcome = outcome;
+    // Peak memory of set-up and of every leg behind an end-to-end
+    // metric; what only traced runs do comes after.
+    rep.peak_rss_mb = peak_rss_mb();
+
+    if args.trace {
+        if !workload.serves() {
+            serve_leg(&registry_dir, key, &cells, args, &mut rep)?;
+        }
+        // The goodput search, on a fresh server: a per-layer figure,
+        // because which ladder rung a shared host sustains flips
+        // between runs by more than any usable bound.
+        let rig = serve::ServeRig::start(&registry_dir, key, &cells, args.seed)?;
+        for _ in 0..GOODPUT_SEARCHES {
+            rep.goodput.push(goodput_search(&rig));
+        }
+        rig.stop();
+
+        let ctx = layers::Context {
+            flows: &loop_flows,
+            sweep_flows: &flows(&sweep_benchmarks)?,
+            corners: &corners,
+            bundle: &bundle,
+            spec: &spec,
+            char_config: &char_config,
+            dir: &dir.0,
+        };
+        layers::measure(&ctx, &mut rep);
+    }
+    Ok(rep)
+}
+
+/// Open-loop serving of the set-up's cell model at the fixed rates,
+/// with the server's `metrics` snapshots a traced run reads.
+fn serve_leg(
+    registry_dir: &Path,
+    key: ArtifactKey,
+    cells: &[CellType],
+    args: &Args,
+    rep: &mut Report,
+) -> Result<(), String> {
+    let mut rig = serve::ServeRig::start(registry_dir, key, cells, args.seed)?;
     for r in 0..SERVE_REPS {
         let lo = rig.step(LO_RATE, STEP_REQUESTS / LO_RATE);
         if r == 0 && args.trace {
@@ -246,74 +353,27 @@ fn run(args: &Args) -> Result<Report, String> {
         rep.serve_inputs = rig.inputs.clone();
     }
     rig.stop();
-
-    // Leg 2: the fast-flow sweep, in fresh journals.
-    let (sweep_benchmarks, levels) = workload.sweep();
-    let spec = sweepleg::spec(args.seed, &sweep_benchmarks, levels);
-    let records_before = counter("sweep.records_written");
-    for k in 0..SWEEP_REPS {
-        match sweepleg::run_rep(&dir.0.join(format!("sweep-{k}")), &spec, &bundle) {
-            Ok(r) => rep.sweeps.push(r),
-            Err(e) => rep.failures.push(e),
-        }
-        rep.attempted += spec.scenario_count();
-    }
-    rep.records_written = counter("sweep.records_written") - records_before;
-
-    // Legs 3 and 4: traditional iterations, then the fast loop fills
-    // what is left of the run.
-    let corners = flowleg::corners(args.seed);
-    let spent = measure_start.elapsed().as_secs_f64();
-    let fast_budget = (args.seconds - spent).max(0.0);
-    let outcome = flowleg::run(&loop_flows, &corners, &bundle, fast_budget, MIN_FAST);
-    rep.attempted += outcome.attempted;
-    rep.failures.extend(outcome.failures.iter().cloned());
-    rep.loop_outcome = outcome;
-    // Peak memory of set-up and of every leg at its working load; the
-    // traced run's goodput search overloads the server on purpose.
-    rep.peak_rss_mb = peak_rss_mb();
-
-    if args.trace {
-        // The goodput search, on a fresh server: a per-layer figure,
-        // because which ladder rung a shared host sustains flips
-        // between runs by more than any usable bound.
-        let mut rig = serve::ServeRig::start(&registry_dir, key, &cells, args.seed)?;
-        for _ in 0..GOODPUT_SEARCHES {
-            rep.goodput.push(goodput_search(&rig));
-        }
-        rep.server_final = Some(rig.metrics()?);
-        rig.stop();
-
-        let ctx = layers::Context {
-            flows: &loop_flows,
-            sweep_flows: &sweep_benchmarks
-                .iter()
-                .map(|b| build(*b))
-                .collect::<Result<Vec<_>, _>>()?,
-            corners: &corners,
-            bundle: &bundle,
-            spec: &spec,
-            char_config: &char_config,
-            dir: &dir.0,
-        };
-        layers::measure(&ctx, &mut rep);
-    }
-    Ok(rep)
+    Ok(())
 }
 
 /// The goodput search: the highest rung of a fixed geometric rate
 /// ladder whose step meets the p99 limit with no failed or refused
 /// request and no growing backlog, found by bisection over the ladder.
+/// NaN (not measured) when even the lowest rung fails.
 fn goodput_search(rig: &serve::ServeRig) -> f64 {
     let ladder = report::goodput_ladder();
+    let passes = |rate: f64| {
+        let step = rig.step(rate, (STEP_REQUESTS / rate).max(0.3));
+        report::step_meets_limit(&step, P99_LIMIT_MS)
+    };
+    if !passes(ladder[0]) {
+        return f64::NAN;
+    }
+    // Invariant: rung `lo` passes, rungs at or above `hi` fail.
     let (mut lo, mut hi) = (0usize, ladder.len());
-    // Invariant: rungs below `lo` pass (rung 0 is assumed to), rungs at
-    // or above `hi` fail.
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
-        let rate = ladder[mid];
-        let step = rig.step(rate, (STEP_REQUESTS / rate).max(0.3));
-        if report::step_meets_limit(&step, P99_LIMIT_MS) {
+        if passes(ladder[mid]) {
             lo = mid;
         } else {
             hi = mid;

@@ -18,16 +18,18 @@ pub struct Report {
     pub lo_steps: Vec<StepResult>,
     pub hi_steps: Vec<StepResult>,
     pub goodput: Vec<f64>,
-    /// `metrics`-op snapshots (traced runs): after the first lo step,
-    /// after the fixed-rate steps, at the end of the serve leg.
+    /// `metrics`-op snapshots (traced runs): after the first lo step
+    /// and after the last fixed-rate step, both before the goodput
+    /// search overloads a server on purpose.
     pub server_after_lo: Option<JsonValue>,
     pub server_after_fixed: Option<JsonValue>,
-    pub server_final: Option<JsonValue>,
     pub protocol_us: Option<(f64, f64)>,
     pub serve_inputs: Vec<Request>,
     pub sweeps: Vec<SweepRep>,
     pub records_written: u64,
     pub loop_outcome: LoopOutcome,
+    /// Wall time of the rounds, s.
+    pub measured_s: f64,
     /// Operations attempted outside the fixed-rate serving steps.
     pub attempted: usize,
     /// Failed operations and failed output checks, with reasons.
@@ -166,6 +168,19 @@ impl Report {
         for m in &e2e {
             println!("# e2e {:<24} {:>14.6} {}", m.name, m.value, m.unit);
         }
+        let reps: Vec<String> = self
+            .setup
+            .iter()
+            .map(|t| format!("{:.3}", t.total_s))
+            .collect();
+        println!("# setup reps s: {}", reps.join(" "));
+        println!(
+            "# measured {:.1} s in rounds: {} fast iterations, {} traditional, {} sweep reps",
+            self.measured_s,
+            self.loop_outcome.fast.len(),
+            self.loop_outcome.trad.len(),
+            self.sweeps.len()
+        );
         for m in &self.layers {
             println!(
                 "# layer {:<40} {:>14.6} {:<8} moves {}",
