@@ -2,9 +2,10 @@
 //! caller, on the workload's loop designs (LTPS) at corners drawn by
 //! the seed.
 //!
-//! The traditional flow cycles over three supplies; the fast flow
-//! repeats round-robin over every (benchmark, corner) pair. Corners are
-//! stratified on V_DD (see [`corners`]).
+//! The traditional flow runs the same set of (benchmark, supply) pairs
+//! in every round; the fast flow repeats round-robin over every
+//! (benchmark, corner) pair. Corners are stratified on V_DD (see
+//! [`corners`]).
 
 use std::time::Instant;
 
@@ -18,7 +19,7 @@ use stco_numerics::rng::Xorshift;
 /// of `CornerGrid::default()`, because SPICE cost tracks the supply and
 /// at the lowest supply characterization cannot switch a NAND4 once the
 /// threshold rises (the traditional flow fails there by design).
-const SUPPLIES: [f64; 3] = [3.0, 3.5, 4.0];
+pub const SUPPLIES: [f64; 3] = [3.0, 3.5, 4.0];
 
 /// The seeded corners: one per supply in [`SUPPLIES`], with V_th shift
 /// and C_ox scale drawn from the middle of the default grid's ranges,
@@ -57,6 +58,9 @@ pub struct LoopOutcome {
     pub fast: Vec<Timed>,
     /// Traditional iterations, in run order.
     pub trad: Vec<Timed>,
+    /// Mean wall time of each round's traditional iterations, s, for
+    /// every round in which all of them succeeded.
+    pub trad_rounds: Vec<f64>,
     /// Iterations attempted.
     pub attempted: usize,
     /// Failed iterations and failed output checks, with reasons.
@@ -116,15 +120,7 @@ pub fn check_ppa(r: &IterationResult) -> Result<(), String> {
     Ok(())
 }
 
-/// The traditional flow's corners: one per supply in [`SUPPLIES`] at
-/// nominal threshold and oxide, the same for every seed. SPICE cost
-/// swings with the threshold and oxide draw far more than the fast
-/// flow's does, and `trad_iter_s` must price the same work in every run.
-pub fn trad_corners() -> Vec<Corner> {
-    SUPPLIES.iter().map(|&vdd| Corner::nominal(vdd)).collect()
-}
-
-/// The leg in progress: the run calls [`TableLoop::trad`] and
+/// The leg in progress: the run calls [`TableLoop::trad_round`] and
 /// [`TableLoop::fast`] a little in each round, so every figure's
 /// samples spread over the whole run.
 pub struct TableLoop<'a> {
@@ -132,9 +128,12 @@ pub struct TableLoop<'a> {
     /// Every (benchmark, corner) pair of the fast flow, and the first
     /// result's bit pattern for each.
     pairs: Vec<(&'a StcoFlow, Corner, Option<Vec<u64>>)>,
+    /// The traditional flow's corners, at nominal threshold and oxide
+    /// and the same for every seed: SPICE cost swings with the
+    /// threshold and oxide draw far more than the fast flow's does, and
+    /// `trad_iter_s` must price the same work in every run.
+    trad_corners: Vec<Corner>,
     surrogates: &'a TrainedSurrogates,
-    /// Traditional iterations attempted so far.
-    trad_runs: usize,
     out: LoopOutcome,
 }
 
@@ -142,6 +141,7 @@ impl<'a> TableLoop<'a> {
     pub fn new(
         flows: &'a [StcoFlow],
         corners: &[Corner],
+        trad_supplies: &[f64],
         surrogates: &'a TrainedSurrogates,
     ) -> TableLoop<'a> {
         let pairs = flows
@@ -151,33 +151,37 @@ impl<'a> TableLoop<'a> {
         TableLoop {
             flows,
             pairs,
+            trad_corners: trad_supplies.iter().map(|&v| Corner::nominal(v)).collect(),
             surrogates,
-            trad_runs: 0,
             out: LoopOutcome::default(),
         }
     }
 
-    /// One traditional iteration: the k-th runs benchmark k and supply
-    /// k of [`trad_corners`], both cycling.
-    pub fn trad(&mut self) {
-        let k = self.trad_runs;
-        self.trad_runs += 1;
-        let corners = trad_corners();
-        let flow = &self.flows[k % self.flows.len()];
-        self.out.attempted += 1;
-        match timed(
-            flow,
-            corners[k % corners.len()],
-            TechnologyStage::Traditional,
-            None,
-        ) {
-            Ok((t, result)) => {
-                if let Err(e) = check_ppa(&result) {
-                    self.out.failures.push(e);
+    /// One round of the traditional flow: every benchmark at every
+    /// traditional corner, once. Every round runs the same work, so the
+    /// round means are samples of one quantity rather than a mixture of
+    /// cheap and expensive corners whose median depends on the mix.
+    pub fn trad_round(&mut self) {
+        let mut wall = Vec::new();
+        for flow in self.flows {
+            for &corner in &self.trad_corners {
+                self.out.attempted += 1;
+                match timed(flow, corner, TechnologyStage::Traditional, None) {
+                    Ok((t, result)) => {
+                        if let Err(e) = check_ppa(&result) {
+                            self.out.failures.push(e);
+                        }
+                        wall.push(t.wall_s);
+                        self.out.trad.push(t);
+                    }
+                    Err(e) => self.out.failures.push(e),
                 }
-                self.out.trad.push(t);
             }
-            Err(e) => self.out.failures.push(e),
+        }
+        if wall.len() == self.flows.len() * self.trad_corners.len() {
+            self.out
+                .trad_rounds
+                .push(wall.iter().sum::<f64>() / wall.len() as f64);
         }
     }
 

@@ -47,13 +47,12 @@ use report::Report;
 
 /// Rounds per run: each runs a set-up rep (`setup_s` is the median of
 /// these and the first rep, whose models the legs use), a sweep rep
-/// (`sweep_scen_per_s` is the median rep), traditional iterations and an
-/// equal share of the fast loop, so that a burst of load from the host's
+/// (`sweep_scen_per_s` is the median rep), a traditional round
+/// (`trad_iter_s.p50` is the median round mean) and an equal share of
+/// the fast loop, so that a burst of load from the host's
 /// other tenants lands on a few samples of every figure rather than on
 /// all samples of one.
-const ROUNDS: usize = 5;
-/// Traditional iterations per round.
-const TRAD_PER_ROUND: usize = 2;
+const ROUNDS: usize = 6;
 /// Goodput searches per traced run (`serve.goodput_rps` is their median).
 const GOODPUT_SEARCHES: usize = 3;
 /// Fixed-rate (lo, hi) step pairs per run.
@@ -123,6 +122,17 @@ impl Workload {
         match self {
             Workload::Table1Loop => 10.0,
             Workload::SweepLarge => 6.0,
+        }
+    }
+
+    /// Supplies of the traditional flow's corners, V. Every round runs
+    /// each loop design at each of them: both Table I designs at the
+    /// middle supply on `table1_loop` (two iterations a round), the
+    /// single large design at all three on `sweep_large`.
+    fn trad_supplies(self) -> &'static [f64] {
+        match self {
+            Workload::Table1Loop => &flowleg::SUPPLIES[1..2],
+            Workload::SweepLarge => &flowleg::SUPPLIES,
         }
     }
 
@@ -273,7 +283,8 @@ fn run(args: &Args) -> Result<Report, String> {
     let (sweep_benchmarks, levels) = workload.sweep();
     let spec = sweepleg::spec(args.seed, &sweep_benchmarks, levels);
     let corners = flowleg::corners(args.seed);
-    let mut table1 = flowleg::TableLoop::new(&loop_flows, &corners, &bundle);
+    let mut table1 =
+        flowleg::TableLoop::new(&loop_flows, &corners, workload.trad_supplies(), &bundle);
     let fast_total = ((args.seconds * workload.fast_per_second()) as usize).max(MIN_FAST);
     let fast_per_round = fast_total.div_ceil(ROUNDS);
     let records_before = counter("sweep.records_written");
@@ -286,9 +297,7 @@ fn run(args: &Args) -> Result<Report, String> {
             Err(e) => rep.failures.push(e),
         }
         rep.attempted += spec.scenario_count();
-        for _ in 0..TRAD_PER_ROUND {
-            table1.trad();
-        }
+        table1.trad_round();
         table1.fast(fast_per_round);
     }
     rep.records_written = counter("sweep.records_written") - records_before;

@@ -139,7 +139,6 @@ impl Report {
             .collect();
         self.failures.extend(short);
         let fast_p90 = stats::quantile_sorted(&stats::sorted(&fast_ms), 0.9);
-        let trad_s: Vec<f64> = self.loop_outcome.trad.iter().map(|t| t.wall_s).collect();
         let sweep_rate: Vec<f64> = self
             .sweeps
             .iter()
@@ -152,7 +151,11 @@ impl Report {
             metric("ok_ratio", ok_ratio, "ratio"),
             metric("fast_iter_ms.p50", fast.p50, "ms"),
             metric("fast_iter_ms.p90", fast_p90, "ms"),
-            metric("trad_iter_s.p50", median_or_nan(&trad_s), "s"),
+            metric(
+                "trad_iter_s.p50",
+                median_or_nan(&self.loop_outcome.trad_rounds),
+                "s",
+            ),
             metric("sweep_scen_per_s", median_or_nan(&sweep_rate), "1/s"),
         ]
     }
@@ -168,12 +171,23 @@ impl Report {
         for m in &e2e {
             println!("# e2e {:<24} {:>14.6} {}", m.name, m.value, m.unit);
         }
-        let reps: Vec<String> = self
-            .setup
-            .iter()
-            .map(|t| format!("{:.3}", t.total_s))
-            .collect();
-        println!("# setup reps s: {}", reps.join(" "));
+        // The samples behind the per-rep medians, in run order, so a
+        // reader can tell a slow phase of the host from a slow rep.
+        let samples = |v: &mut dyn Iterator<Item = f64>| {
+            v.map(|x| format!("{x:.3}")).collect::<Vec<_>>().join(" ")
+        };
+        println!(
+            "# setup reps s: {}",
+            samples(&mut self.setup.iter().map(|t| t.total_s))
+        );
+        println!(
+            "# trad round means s: {}",
+            samples(&mut self.loop_outcome.trad_rounds.iter().copied())
+        );
+        println!(
+            "# sweep reps 1/s: {}",
+            samples(&mut self.sweeps.iter().map(|r| r.executed as f64 / r.sweep_s))
+        );
         println!(
             "# measured {:.1} s in rounds: {} fast iterations, {} traditional, {} sweep reps",
             self.measured_s,
