@@ -227,24 +227,17 @@ impl SystemSurrogate {
 
     /// Predicts PPA for a design/corner pair.
     pub fn predict(&self, logic: &LogicNetlist, corner: Corner) -> PredictedPpa {
-        Graph::with_scratch(|g| {
-            let x = g.input(Matrix::from_vec(
-                1,
-                FEATURE_DIM,
-                features(logic, corner).to_vec(),
-            ));
-            let pred = self.mlp.forward(g, &self.params, x);
-            let row = g.value(pred);
-            let un = |ch: usize| {
-                let (m, s) = self.norms[ch];
-                10.0_f64.powf(row.get(0, ch) * s + m)
-            };
-            PredictedPpa {
-                min_clock_period: un(0),
-                power: un(1),
-                area: un(2),
-            }
-        })
+        let x = Matrix::from_vec(1, FEATURE_DIM, features(logic, corner).to_vec());
+        let row = self.mlp.infer(self.params.values(), &x);
+        let un = |ch: usize| {
+            let (m, s) = self.norms[ch];
+            10.0_f64.powf(row.get(0, ch) * s + m)
+        };
+        PredictedPpa {
+            min_clock_period: un(0),
+            power: un(1),
+            area: un(2),
+        }
     }
 }
 
@@ -333,6 +326,50 @@ mod tests {
         let fast = model.predict(&logic, Corner::nominal(3.8));
         assert!(fast.min_clock_period < slow.min_clock_period);
         assert!(fast.power > slow.power);
+    }
+
+    /// The tape-free prediction equals the training tape's forward bit
+    /// for bit: `10^(z·std + mean)` with `z` from `Mlp::forward`.
+    #[test]
+    fn prediction_matches_tape_forward_bitwise() -> Result<()> {
+        let train = synthetic_records(4, 40);
+        let mut model = SystemSurrogate::new(13);
+        model.train(
+            &train,
+            &TrainConfig {
+                epochs: 20,
+                batch_size: 8,
+                patience: None,
+                ..TrainConfig::default()
+            },
+        )?;
+        let logic = Benchmark::S298.generate();
+        for r in synthetic_records(5, 16) {
+            let corner = Corner {
+                vdd: r.features[4],
+                vth_shift: r.features[5],
+                cox_scale: r.features[6],
+            };
+            let pred = model.predict(&logic, corner);
+            let mut g = Graph::new();
+            let x = g.input(Matrix::from_vec(
+                1,
+                FEATURE_DIM,
+                features(&logic, corner).to_vec(),
+            ));
+            let out = model.mlp.forward(&mut g, &model.params, x);
+            let tape: Vec<f64> = (0..3)
+                .map(|ch| {
+                    let (m, s) = model.norms[ch];
+                    10.0_f64.powf(g.value(out).get(0, ch) * s + m)
+                })
+                .collect();
+            let got = [pred.min_clock_period, pred.power, pred.area];
+            for (ch, (a, b)) in got.iter().zip(&tape).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{corner:?} channel {ch}");
+            }
+        }
+        Ok(())
     }
 
     #[test]

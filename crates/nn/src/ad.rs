@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use stco_numerics::{CsrMatrix, Matrix};
+use stco_numerics::{CsrMatrix, Dense, Matrix, Scalar};
 
 use crate::{params_accumulate, ParamId, Params};
 
@@ -214,10 +214,13 @@ impl Graph {
 
     /// Runs `f` on a thread-local recycled tape.
     ///
-    /// This is the inference entrypoint: one-shot forward passes
-    /// (`predict`-style calls that would otherwise construct and drop a
-    /// fresh `Graph` each time) lease their value buffers from a
-    /// per-thread pool that persists across calls. The tape is
+    /// Serves one-shot tape forwards — the RelGAT surrogates' `predict`
+    /// calls and validation passes — that would otherwise construct and
+    /// drop a fresh `Graph` each time: they lease their value buffers
+    /// from a per-thread pool that persists across calls. (Models built
+    /// from [`crate::layers::Linear`], [`crate::layers::Mlp`] and
+    /// [`crate::gnn::GcnLayer`] infer without a tape, through their
+    /// `infer` methods.) The tape is
     /// [`Graph::reset`] before `f` runs, so node indices start from zero
     /// while warmed buffers are reused; results are bitwise-identical to
     /// a fresh graph (leases are zeroed, and the free list is an
@@ -298,14 +301,8 @@ impl Graph {
     /// Panics if `b` is not `1×d` with matching `d`.
     pub fn add_row_broadcast(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(bv.rows(), 1, "broadcast operand must be a row vector");
-        assert_eq!(av.cols(), bv.cols(), "broadcast width mismatch");
         let mut out = self.pool.lease_copy(av);
-        for i in 0..out.rows() {
-            for (o, b) in out.row_mut(i).iter_mut().zip(bv.row(0)) {
-                *o += b;
-            }
-        }
+        add_row_broadcast_forward(&mut out, bv);
         self.push(out, Op::AddRowBroadcast(a, b))
     }
 
@@ -357,40 +354,37 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.map_unary(a, |x| x.max(0.0));
+        let v = self.map_unary(a, relu_forward);
         self.push(v, Op::Relu(a))
     }
 
     /// Leaky ReLU (`slope` on the negative side; GAT attention uses 0.2).
     pub fn leaky_relu(&mut self, a: NodeId, slope: f64) -> NodeId {
-        let v = self.map_unary(a, |x| if x > 0.0 { x } else { slope * x });
+        let v = self.map_unary(a, |x| leaky_relu_forward(x, slope));
         self.push(v, Op::LeakyRelu(a, slope))
     }
 
     /// Exponential linear unit.
     pub fn elu(&mut self, a: NodeId, alpha: f64) -> NodeId {
-        let v = self.map_unary(a, |x| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) });
+        let v = self.map_unary(a, |x| elu_forward(x, alpha));
         self.push(v, Op::Elu(a, alpha))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh_act(&mut self, a: NodeId) -> NodeId {
-        let v = self.map_unary(a, f64::tanh);
+        let v = self.map_unary(a, tanh_forward);
         self.push(v, Op::Tanh(a))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.map_unary(a, |x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.map_unary(a, sigmoid_forward);
         self.push(v, Op::Sigmoid(a))
     }
 
-    fn map_unary(&mut self, a: NodeId, f: impl Fn(f64) -> f64) -> Matrix {
-        let av = &self.nodes[a.0].value;
-        let mut out = self.pool.lease_zeroed(av.rows(), av.cols());
-        for (o, &x) in out.as_mut_slice().iter_mut().zip(av.as_slice()) {
-            *o = f(x);
-        }
+    fn map_unary(&mut self, a: NodeId, f: impl FnOnce(&mut [f64])) -> Matrix {
+        let mut out = self.pool.lease_copy(&self.nodes[a.0].value);
+        f(out.as_mut_slice());
         out
     }
 
@@ -523,26 +517,10 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `seg.len() != x.rows()` or an id is out of range.
-    // stco-hot
     pub fn segment_mean(&mut self, x: NodeId, seg: Arc<Vec<usize>>, n_seg: usize) -> NodeId {
         let xv = &self.nodes[x.0].value;
-        assert_eq!(seg.len(), xv.rows(), "one segment id per row");
         let mut out = self.pool.lease_zeroed(n_seg, xv.cols());
-        let mut counts = vec![0usize; n_seg];
-        for (i, &s) in seg.iter().enumerate() {
-            assert!(s < n_seg, "segment id {s} out of {n_seg}");
-            counts[s] += 1;
-            for (o, v) in out.row_mut(s).iter_mut().zip(xv.row(i)) {
-                *o += v;
-            }
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                for v in out.row_mut(s) {
-                    *v /= c as f64;
-                }
-            }
-        }
+        segment_mean_forward(xv, &seg, n_seg, &mut out);
         self.push(out, Op::SegmentMean { x, seg, n_seg })
     }
 
@@ -552,18 +530,10 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `a.cols() != x.rows()`.
-    // stco-hot
     pub fn spmm(&mut self, a: Arc<CsrMatrix>, x: NodeId) -> NodeId {
         let xv = &self.nodes[x.0].value;
-        assert_eq!(a.cols(), xv.rows(), "spmm shape mismatch");
         let mut out = self.pool.lease_zeroed(a.rows(), xv.cols());
-        for i in 0..a.rows() {
-            for (j, w) in a.row_entries(i) {
-                for (o, v) in out.row_mut(i).iter_mut().zip(xv.row(j)) {
-                    *o += w * v;
-                }
-            }
-        }
+        spmm_forward(&a, xv, &mut out);
         let a_t = Arc::new(a.transpose());
         self.push(out, Op::SpMm { a, a_t, x })
     }
@@ -981,6 +951,116 @@ fn segment_softmax_forward(x: &Matrix, seg: &[usize], n_seg: usize, out: &mut Ma
     }
     for (r, &s) in seg.iter().enumerate() {
         out.set(r, 0, exps[r] / seg_sum[s].max(1e-300));
+    }
+}
+
+// Forward loops shared by the tape ops above and the tape-free inference
+// methods of `crate::layers` and `crate::gnn`: one loop per op, so an f64
+// inference pass reproduces the tape's bits by construction. Each is
+// generic over the precision; weights and activations may be `f32`.
+
+/// Adds the `[1×d]` row `b` to every row of `x`.
+///
+/// # Panics
+///
+/// Panics if `b` is not `1×d` with `d = x.cols()`.
+// stco-hot
+pub(crate) fn add_row_broadcast_forward<T: Scalar>(x: &mut Dense<T>, b: &Dense<T>) {
+    assert_eq!(b.rows(), 1, "broadcast operand must be a row vector");
+    assert_eq!(x.cols(), b.cols(), "broadcast width mismatch");
+    for i in 0..x.rows() {
+        for (o, &bv) in x.row_mut(i).iter_mut().zip(b.row(0)) {
+            *o += bv;
+        }
+    }
+}
+
+/// `out += a · x` for a constant `f64` sparse `a`, whose values convert to
+/// the precision of `x` per entry.
+///
+/// # Panics
+///
+/// Panics if `a.cols() != x.rows()`.
+// stco-hot
+pub(crate) fn spmm_forward<T: Scalar>(a: &CsrMatrix, x: &Dense<T>, out: &mut Dense<T>) {
+    assert_eq!(a.cols(), x.rows(), "spmm shape mismatch");
+    for i in 0..a.rows() {
+        for (j, w) in a.row_entries(i) {
+            let w = T::from_f64(w);
+            for (o, &v) in out.row_mut(i).iter_mut().zip(x.row(j)) {
+                *o += w * v;
+            }
+        }
+    }
+}
+
+/// Accumulates the mean of the rows of `x` sharing a segment id into the
+/// zeroed `[n_seg × d]` `out` (batched graph readout). Empty segments stay
+/// zero.
+///
+/// # Panics
+///
+/// Panics if `seg.len() != x.rows()` or an id is out of range.
+// stco-hot
+pub fn segment_mean_forward<T: Scalar>(
+    x: &Dense<T>,
+    seg: &[usize],
+    n_seg: usize,
+    out: &mut Dense<T>,
+) {
+    assert_eq!(seg.len(), x.rows(), "one segment id per row");
+    let mut counts = vec![0usize; n_seg];
+    for (i, &s) in seg.iter().enumerate() {
+        assert!(s < n_seg, "segment id {s} out of {n_seg}");
+        counts[s] += 1;
+        for (o, &v) in out.row_mut(s).iter_mut().zip(x.row(i)) {
+            *o += v;
+        }
+    }
+    for (s, &c) in counts.iter().enumerate() {
+        if c > 0 {
+            let c = T::from_f64(c as f64);
+            for v in out.row_mut(s) {
+                *v = *v / c;
+            }
+        }
+    }
+}
+
+pub(crate) fn relu_forward<T: Scalar>(x: &mut [T]) {
+    for v in x {
+        *v = v.max(T::default());
+    }
+}
+
+pub(crate) fn leaky_relu_forward<T: Scalar>(x: &mut [T], slope: f64) {
+    let slope = T::from_f64(slope);
+    for v in x {
+        *v = if *v > T::default() { *v } else { slope * *v };
+    }
+}
+
+pub(crate) fn elu_forward<T: Scalar>(x: &mut [T], alpha: f64) {
+    let (alpha, one) = (T::from_f64(alpha), T::from_f64(1.0));
+    for v in x {
+        *v = if *v > T::default() {
+            *v
+        } else {
+            alpha * (v.exp() - one)
+        };
+    }
+}
+
+pub(crate) fn tanh_forward<T: Scalar>(x: &mut [T]) {
+    for v in x {
+        *v = v.tanh();
+    }
+}
+
+pub(crate) fn sigmoid_forward<T: Scalar>(x: &mut [T]) {
+    let one = T::from_f64(1.0);
+    for v in x {
+        *v = one / (one + (-*v).exp());
     }
 }
 

@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use stco_numerics::{CsrMatrix, Matrix};
+use stco_numerics::{CsrMatrix, Dense, Matrix, Scalar};
 
-use crate::ad::{Graph, NodeId};
+use crate::ad::{spmm_forward, Graph, NodeId};
 use crate::layers::{Activation, LayerNorm, Linear};
 use crate::Params;
 
@@ -173,17 +173,6 @@ impl GcnLayer {
         }
     }
 
-    /// The underlying linear transform (weights exposed for the f32
-    /// fast-inference path, which replays the layer outside the tape).
-    pub fn linear(&self) -> &Linear {
-        &self.linear
-    }
-
-    /// The layer's activation.
-    pub fn activation(&self) -> Activation {
-        self.activation
-    }
-
     /// Records one propagation step. `adj` must be the normalized
     /// adjacency from [`GraphData::normalized_adjacency`].
     pub fn forward(
@@ -196,6 +185,21 @@ impl GcnLayer {
         let h = self.linear.forward(g, params, x);
         let agg = g.spmm(Arc::clone(adj), h);
         self.activation.apply(g, agg)
+    }
+
+    /// One propagation step tape-free (see [`Linear::infer`] for
+    /// `weights`); in `f64` it equals [`GcnLayer::forward`] bit for bit.
+    pub fn infer<T: Scalar>(
+        &self,
+        weights: &[Dense<T>],
+        adj: &CsrMatrix,
+        x: &Dense<T>,
+    ) -> Dense<T> {
+        let h = self.linear.infer(weights, x);
+        let mut out = Dense::zeros(adj.rows(), h.cols());
+        spmm_forward(adj, &h, &mut out);
+        self.activation.apply_in_place(out.as_mut_slice());
+        out
     }
 }
 

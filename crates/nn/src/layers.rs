@@ -1,7 +1,12 @@
 //! Dense layers: [`Linear`], [`Mlp`] and [`LayerNorm`], composed by the
 //! GNN models in [`crate::gnn`].
 
-use crate::ad::{Graph, NodeId};
+use stco_numerics::{Dense, Scalar};
+
+use crate::ad::{
+    add_row_broadcast_forward, elu_forward, leaky_relu_forward, relu_forward, sigmoid_forward,
+    tanh_forward, Graph, NodeId,
+};
 use crate::{ParamId, Params};
 
 /// Nonlinearity selector shared by the layer types.
@@ -22,16 +27,34 @@ pub enum Activation {
     Identity,
 }
 
+/// Negative-side slope of [`Activation::LeakyRelu`].
+const LEAKY_RELU_SLOPE: f64 = 0.2;
+/// Saturation scale of [`Activation::Elu`].
+const ELU_ALPHA: f64 = 1.0;
+
 impl Activation {
     /// Applies the activation on the tape.
     pub fn apply(self, g: &mut Graph, x: NodeId) -> NodeId {
         match self {
             Activation::Relu => g.relu(x),
-            Activation::LeakyRelu => g.leaky_relu(x, 0.2),
-            Activation::Elu => g.elu(x, 1.0),
+            Activation::LeakyRelu => g.leaky_relu(x, LEAKY_RELU_SLOPE),
+            Activation::Elu => g.elu(x, ELU_ALPHA),
             Activation::Tanh => g.tanh_act(x),
             Activation::Sigmoid => g.sigmoid(x),
             Activation::Identity => x,
+        }
+    }
+
+    /// Applies the activation in place, tape-free, with the tape op's own
+    /// loop.
+    pub(crate) fn apply_in_place<T: Scalar>(self, x: &mut [T]) {
+        match self {
+            Activation::Relu => relu_forward(x),
+            Activation::LeakyRelu => leaky_relu_forward(x, LEAKY_RELU_SLOPE),
+            Activation::Elu => elu_forward(x, ELU_ALPHA),
+            Activation::Tanh => tanh_forward(x),
+            Activation::Sigmoid => sigmoid_forward(x),
+            Activation::Identity => {}
         }
     }
 }
@@ -82,22 +105,25 @@ impl Linear {
         self.out_dim
     }
 
-    /// Weight parameter handle.
-    pub fn weight(&self) -> ParamId {
-        self.weight
-    }
-
-    /// Bias parameter handle.
-    pub fn bias(&self) -> ParamId {
-        self.bias
-    }
-
     /// Records `x·W + b` on the tape.
     pub fn forward(&self, g: &mut Graph, params: &Params, x: NodeId) -> NodeId {
         let w = g.param(params, self.weight);
         let b = g.param(params, self.bias);
         let h = g.matmul(x, w);
         g.add_row_broadcast(h, b)
+    }
+
+    /// Computes `x·W + b` tape-free, reading `W` and `b` in place from
+    /// `weights`: the model's tensors in canonical order, i.e.
+    /// [`Params::values`] or a narrowed copy of it. The GEMM and bias
+    /// loops are the tape's own, so in `f64` the result equals
+    /// [`Linear::forward`] bit for bit.
+    pub fn infer<T: Scalar>(&self, weights: &[Dense<T>], x: &Dense<T>) -> Dense<T> {
+        let w = &weights[self.weight.0];
+        let mut out = Dense::zeros(x.rows(), w.cols());
+        x.gemm_into(w, &mut out);
+        add_row_broadcast_forward(&mut out, &weights[self.bias.0]);
+        out
     }
 }
 
@@ -157,16 +183,6 @@ impl Mlp {
         self.layers.len()
     }
 
-    /// The linear layers, in forward order.
-    pub fn layers(&self) -> &[Linear] {
-        &self.layers
-    }
-
-    /// The shared hidden activation.
-    pub fn activation(&self) -> Activation {
-        self.activation
-    }
-
     /// Records the full forward pass; the final layer is linear.
     pub fn forward(&self, g: &mut Graph, params: &Params, mut x: NodeId) -> NodeId {
         for (i, layer) in self.layers.iter().enumerate() {
@@ -176,6 +192,17 @@ impl Mlp {
             }
         }
         x
+    }
+
+    /// The full forward pass tape-free (see [`Linear::infer`] for
+    /// `weights`); in `f64` it equals [`Mlp::forward`] bit for bit.
+    pub fn infer<T: Scalar>(&self, weights: &[Dense<T>], x: &Dense<T>) -> Dense<T> {
+        let mut h = self.layers[0].infer(weights, x);
+        for layer in &self.layers[1..] {
+            self.activation.apply_in_place(h.as_mut_slice());
+            h = layer.infer(weights, &h);
+        }
+        h
     }
 }
 
@@ -257,6 +284,37 @@ mod tests {
         assert!((g.value(l).get(0, 0) + 0.2).abs() < 1e-12);
         let id = Activation::Identity.apply(&mut g, x);
         assert_eq!(id, x);
+    }
+
+    /// The tape-free forward reproduces the tape's bits under every
+    /// activation.
+    #[test]
+    fn infer_matches_tape_forward_bitwise_for_every_activation() {
+        let mut rng = Xorshift::new(9);
+        for act in [
+            Activation::Relu,
+            Activation::LeakyRelu,
+            Activation::Elu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::Identity,
+        ] {
+            let mut params = Params::new(4);
+            let mlp = Mlp::new(&mut params, &[5, 7, 3], act);
+            // Random biases too, so the bias-add order is exercised.
+            for id in crate::param_ids(&params).collect::<Vec<_>>() {
+                for v in params.value_mut(id).as_mut_slice() {
+                    *v = rng.uniform_in(-1.0, 1.0);
+                }
+            }
+            let x = Matrix::from_vec(6, 5, (0..30).map(|_| rng.uniform_in(-2.0, 2.0)).collect());
+            let mut g = Graph::new();
+            let xi = g.input(x.clone());
+            let y = mlp.forward(&mut g, &params, xi);
+            let inferred = mlp.infer(params.values(), &x);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&inferred), bits(g.value(y)), "{act:?}");
+        }
     }
 
     #[test]

@@ -158,6 +158,13 @@ impl Params {
         &self.values[id.0]
     }
 
+    /// Every parameter value in canonical order (see [`Params::tensors`]),
+    /// indexable by [`ParamId`]: the weight table the tape-free inference
+    /// methods ([`layers::Linear::infer`]) read in place.
+    pub fn values(&self) -> &[Matrix] {
+        &self.values
+    }
+
     /// Mutable value of a parameter (used by optimizers and tests).
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
         &mut self.values[id.0]

@@ -1,13 +1,24 @@
 //! Dense row-major matrices and the vector helpers the rest of the
 //! workspace leans on.
 //!
-//! [`Matrix`] is deliberately simple: a `Vec<f64>` with a shape. The SPICE
-//! engine factors MNA systems of at most a few hundred unknowns, and the
-//! neural-network crate multiplies feature matrices of a few thousand rows,
-//! so a cache-friendly row-major layout with straightforward loops is both
-//! sufficient and easy to audit.
+//! [`Dense`] is deliberately simple: a `Vec` of scalars with a shape. The
+//! SPICE engine factors MNA systems of at most a few hundred unknowns, and
+//! the neural-network crate multiplies feature matrices of a few thousand
+//! rows, so a cache-friendly row-major layout with straightforward loops is
+//! both sufficient and easy to audit. [`Matrix`] (`f64`) is the workspace's
+//! matrix; [`crate::MatrixF32`] serves the opt-in f32 inference path, and
+//! the two share every shape, storage and GEMM method.
 
-use crate::{gemm, NumericsError, Result};
+use crate::gemm::{self, Scalar};
+use crate::{NumericsError, Result};
+
+/// A dense row-major `rows × cols` matrix of [`Scalar`]s.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Dense<T> {
+    rows: usize,
+    cols: usize,
+    data: Vec<T>,
+}
 
 /// A dense row-major `rows × cols` matrix of `f64`.
 ///
@@ -20,23 +31,174 @@ use crate::{gemm, NumericsError, Result};
 /// let b = a.matmul(&a);
 /// assert_eq!(b.get(0, 0), 7.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
+pub type Matrix = Dense<f64>;
 
-impl Matrix {
+impl<T: Scalar> Dense<T> {
     /// Creates a `rows × cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
+        Dense {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![T::default(); rows * cols],
         }
     }
 
+    /// Builds a matrix from a flat row-major vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
+        assert_eq!(data.len(), rows * cols, "data length must match shape");
+        Dense { rows, cols, data }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Immutable view of the underlying row-major storage.
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+
+    /// Mutable view of the underlying row-major storage.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
+    /// Consumes the matrix, returning its row-major storage.
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
+    }
+
+    /// Returns element `(i, j)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of bounds.
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> T {
+        debug_assert!(i < self.rows && j < self.cols);
+        self.data[i * self.cols + j]
+    }
+
+    /// Sets element `(i, j)` to `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of bounds.
+    #[inline]
+    pub fn set(&mut self, i: usize, j: usize, value: T) {
+        debug_assert!(i < self.rows && j < self.cols);
+        self.data[i * self.cols + j] = value;
+    }
+
+    /// Borrow of row `i` as a slice.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[T] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Mutable borrow of row `i`.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Accumulating GEMM: `out += self · rhs`, no allocation.
+    ///
+    /// Dispatches to the cache-blocked, register-tiled kernel in
+    /// [`crate::gemm`] once the product is large enough to amortize the
+    /// pack step ([`crate::gemm::use_blocked`]); MNA-sized products stay
+    /// on the naive ikj loop. Both paths produce bitwise-identical
+    /// results (proptest-pinned), so the dispatch is invisible to the
+    /// determinism contract.
+    ///
+    /// The dense path deliberately has no per-scalar zero-skip: on dense
+    /// operands the branch defeats pipelining and costs more than the
+    /// multiplies it saves (sparse stamping belongs in the MNA layer, not
+    /// here).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.rows()` or `out` is not
+    /// `self.rows() × rhs.cols()`.
+    pub fn gemm_into(&self, rhs: &Self, out: &mut Self) {
+        if gemm::use_blocked(self.rows, rhs.cols, self.cols) {
+            self.gemm_into_blocked(rhs, out);
+        } else {
+            self.gemm_into_naive(rhs, out);
+        }
+    }
+
+    /// The naive ikj kernel behind [`Matrix::gemm_into`]: the proptest
+    /// oracle for the blocked path and the small-product fast path.
+    // stco-hot
+    pub fn gemm_into_naive(&self, rhs: &Self, out: &mut Self) {
+        self.check_nn_shapes(rhs, out);
+        // ikj loop order keeps the inner loop contiguous in both operands.
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                let a = self.data[i * self.cols + k];
+                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
+                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
+                for (o, r) in orow.iter_mut().zip(rrow.iter()) {
+                    *o += a * *r;
+                }
+            }
+        }
+    }
+
+    /// The blocked kernel behind [`Matrix::gemm_into`], callable directly
+    /// (below the dispatch threshold) by proptests and benches.
+    pub fn gemm_into_blocked(&self, rhs: &Self, out: &mut Self) {
+        self.check_nn_shapes(rhs, out);
+        T::with_scratch(|apack, bpack| {
+            gemm::gemm_nn_blocked(
+                self.rows,
+                rhs.cols,
+                self.cols,
+                &self.data,
+                &rhs.data,
+                &mut out.data,
+                apack,
+                bpack,
+            );
+        });
+    }
+
+    fn check_nn_shapes(&self, rhs: &Self, out: &Self) {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "gemm_into shape mismatch: {}x{} · {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.rows, rhs.cols),
+            "gemm_into output shape mismatch"
+        );
+    }
+
+    /// Reshapes the matrix to `rows × cols` and zero-fills it, reusing the
+    /// existing allocation whenever the new size fits. The workspace idiom
+    /// every hot loop uses instead of `Matrix::zeros`.
+    pub fn reset_zeroed(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, T::default());
+    }
+}
+
+impl Matrix {
     /// Creates a matrix filled with a constant value.
     pub fn full(rows: usize, cols: usize, value: f64) -> Self {
         Matrix {
@@ -75,80 +237,11 @@ impl Matrix {
         }
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must match shape");
-        Matrix { rows, cols, data }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Immutable view of the underlying row-major storage.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutable view of the underlying row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning its row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
-    /// Returns element `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j]
-    }
-
-    /// Sets element `(i, j)` to `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, value: f64) {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j] = value;
-    }
-
     /// Adds `value` to element `(i, j)`; the idiom every MNA stamp uses.
     #[inline]
     pub fn add_at(&mut self, i: usize, j: usize, value: f64) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.cols + j] += value;
-    }
-
-    /// Borrow of row `i` as a slice.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutable borrow of row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Matrix product `self · rhs`.
@@ -165,81 +258,6 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         self.gemm_into(rhs, &mut out);
         out
-    }
-
-    /// Accumulating GEMM: `out += self · rhs`, no allocation.
-    ///
-    /// Dispatches to the cache-blocked, register-tiled kernel in
-    /// [`crate::gemm`] once the product is large enough to amortize the
-    /// pack step ([`crate::gemm::use_blocked`]); MNA-sized products stay
-    /// on the naive ikj loop. Both paths produce bitwise-identical
-    /// results (proptest-pinned), so the dispatch is invisible to the
-    /// determinism contract.
-    ///
-    /// The dense path deliberately has no per-scalar zero-skip: on dense
-    /// operands the branch defeats pipelining and costs more than the
-    /// multiplies it saves (sparse stamping belongs in the MNA layer, not
-    /// here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()` or `out` is not
-    /// `self.rows() × rhs.cols()`.
-    pub fn gemm_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        if gemm::use_blocked(self.rows, rhs.cols, self.cols) {
-            self.gemm_into_blocked(rhs, out);
-        } else {
-            self.gemm_into_naive(rhs, out);
-        }
-    }
-
-    /// The naive ikj kernel behind [`Matrix::gemm_into`]: the proptest
-    /// oracle for the blocked path and the small-product fast path.
-    // stco-hot
-    pub fn gemm_into_naive(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.check_nn_shapes(rhs, out);
-        // ikj loop order keeps the inner loop contiguous in both operands.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, r) in orow.iter_mut().zip(rrow.iter()) {
-                    *o += a * r;
-                }
-            }
-        }
-    }
-
-    /// The blocked kernel behind [`Matrix::gemm_into`], callable directly
-    /// (below the dispatch threshold) by proptests and benches.
-    pub fn gemm_into_blocked(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.check_nn_shapes(rhs, out);
-        gemm::with_f64_scratch(|apack, bpack| {
-            gemm::gemm_nn_blocked(
-                self.rows,
-                rhs.cols,
-                self.cols,
-                &self.data,
-                &rhs.data,
-                &mut out.data,
-                apack,
-                bpack,
-            );
-        });
-    }
-
-    fn check_nn_shapes(&self, rhs: &Matrix, out: &Matrix) {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "gemm_into shape mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, rhs.cols),
-            "gemm_into output shape mismatch"
-        );
     }
 
     /// Accumulating transpose-free GEMM: `out += self · rhsᵀ`.
@@ -279,7 +297,7 @@ impl Matrix {
     /// directly by proptests and benches.
     pub fn gemm_nt_into_blocked(&self, rhs: &Matrix, out: &mut Matrix) {
         self.check_nt_shapes(rhs, out);
-        gemm::with_f64_scratch(|apack, bpack| {
+        f64::with_scratch(|apack, bpack| {
             gemm::gemm_nt_blocked(
                 self.rows,
                 rhs.rows,
@@ -345,7 +363,7 @@ impl Matrix {
     /// directly by proptests and benches.
     pub fn gemm_tn_into_blocked(&self, rhs: &Matrix, out: &mut Matrix) {
         self.check_tn_shapes(rhs, out);
-        gemm::with_f64_scratch(|apack, bpack| {
+        f64::with_scratch(|apack, bpack| {
             gemm::gemm_tn_blocked(
                 self.cols,
                 rhs.cols,
@@ -370,16 +388,6 @@ impl Matrix {
             (self.cols, rhs.cols),
             "gemm_tn_into output shape mismatch"
         );
-    }
-
-    /// Reshapes the matrix to `rows × cols` and zero-fills it, reusing the
-    /// existing allocation whenever the new size fits. The workspace idiom
-    /// every hot loop uses instead of `Matrix::zeros`.
-    pub fn reset_zeroed(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
     }
 
     /// Matrix-vector product `self · x`.

@@ -1,13 +1,14 @@
 //! Dense row-major `f32` matrices for the opt-in fast inference path.
 //!
-//! [`MatrixF32`] is the single-precision twin of [`crate::dense::Matrix`],
-//! deliberately restricted to the operations the GNN forward pass needs.
-//! It exists for `InferencePrecision::F32` in the surrogate crate: weights
-//! are narrowed once at load time and the blocked GEMM kernels run in
-//! `f32`, trading the bitwise determinism contract of the `f64` path for
-//! a property-tested relative-error bound (DESIGN.md §15).
+//! [`MatrixF32`] is the `f32` instantiation of [`Dense`]: it shares every
+//! shape, storage and GEMM method with [`Matrix`], and adds only the
+//! conversions from and to `f64`. It exists for
+//! `InferencePrecision::F32` in the surrogate crate: weights are narrowed
+//! once and the same tape-free forward as the `f64` path runs in `f32`,
+//! trading the bitwise determinism contract for a property-tested
+//! relative-error bound (DESIGN.md §15).
 
-use crate::gemm;
+use crate::dense::{Dense, Matrix};
 
 /// Narrows an `f64` to `f32`.
 ///
@@ -21,163 +22,25 @@ pub fn narrow(v: f64) -> f32 {
 }
 
 /// A dense row-major `rows × cols` matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MatrixF32 {
-    rows: usize,
-    cols: usize,
-    data: Vec<f32>,
-}
+pub type MatrixF32 = Dense<f32>;
 
 impl MatrixF32 {
-    /// Creates a `rows × cols` matrix filled with zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        MatrixF32 {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must match shape");
-        MatrixF32 { rows, cols, data }
-    }
-
     /// Narrows an `f64` matrix element-by-element.
-    pub fn from_f64(src: &crate::dense::Matrix) -> Self {
-        MatrixF32 {
-            rows: src.rows(),
-            cols: src.cols(),
-            data: src.as_slice().iter().map(|&v| narrow(v)).collect(),
-        }
-    }
-
-    /// Widens back to `f64` (exact; every `f32` is representable).
-    pub fn to_f64(&self) -> crate::dense::Matrix {
-        crate::dense::Matrix::from_vec(
-            self.rows,
-            self.cols,
-            self.data.iter().map(|&v| f64::from(v)).collect(),
+    pub fn from_f64(src: &Matrix) -> Self {
+        MatrixF32::from_vec(
+            src.rows(),
+            src.cols(),
+            src.as_slice().iter().map(|&v| narrow(v)).collect(),
         )
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Immutable view of the underlying row-major storage.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable view of the underlying row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Returns element `(i, j)`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f32 {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j]
-    }
-
-    /// Borrow of row `i` as a slice.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutable borrow of row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Reshapes to `rows × cols` and zero-fills, reusing the allocation.
-    pub fn reset_zeroed(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Accumulating GEMM: `out += self · rhs`, size-dispatched between
-    /// the naive ikj loop and the blocked `f32` kernel exactly like the
-    /// `f64` [`crate::dense::Matrix::gemm_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn gemm_into(&self, rhs: &MatrixF32, out: &mut MatrixF32) {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "f32 gemm_into shape mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, rhs.cols),
-            "f32 gemm_into output shape mismatch"
-        );
-        if gemm::use_blocked(self.rows, rhs.cols, self.cols) {
-            gemm::with_f32_scratch(|apack, bpack| {
-                gemm::gemm_nn_blocked(
-                    self.rows,
-                    rhs.cols,
-                    self.cols,
-                    &self.data,
-                    &rhs.data,
-                    &mut out.data,
-                    apack,
-                    bpack,
-                );
-            });
-        } else {
-            self.gemm_into_naive(rhs, out);
-        }
-    }
-
-    /// The naive ikj `f32` kernel: oracle for the blocked path.
-    // stco-hot
-    pub fn gemm_into_naive(&self, rhs: &MatrixF32, out: &mut MatrixF32) {
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, r) in orow.iter_mut().zip(rrow.iter()) {
-                    *o += a * r;
-                }
-            }
-        }
-    }
-
-    /// Always-blocked `f32` GEMM entry point for proptests and benches.
-    pub fn gemm_into_blocked(&self, rhs: &MatrixF32, out: &mut MatrixF32) {
-        gemm::with_f32_scratch(|apack, bpack| {
-            gemm::gemm_nn_blocked(
-                self.rows,
-                rhs.cols,
-                self.cols,
-                &self.data,
-                &rhs.data,
-                &mut out.data,
-                apack,
-                bpack,
-            );
-        });
+    /// Widens back to `f64` (exact; every `f32` is representable).
+    pub fn to_f64(&self) -> Matrix {
+        Matrix::from_vec(
+            self.rows(),
+            self.cols(),
+            self.as_slice().iter().map(|&v| f64::from(v)).collect(),
+        )
     }
 }
 

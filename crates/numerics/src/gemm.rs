@@ -29,7 +29,8 @@
 //! never loaded from nor stored to `out`.
 
 use std::cell::RefCell;
-use std::ops::{Add, AddAssign, Mul};
+use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
+use std::thread::LocalKey;
 
 /// Register tile height (rows of `out` held in registers).
 pub const MR: usize = 4;
@@ -53,23 +54,49 @@ pub fn use_blocked(m: usize, n: usize, k: usize) -> bool {
     m.saturating_mul(n).saturating_mul(k) >= BLOCK_MIN_FLOPS
 }
 
-/// Scalar the blocked kernels are generic over. `Default` must be the
-/// additive identity (0.0 for the float instantiations).
-pub trait GemmScalar: Copy + Default + AddAssign + Add<Output = Self> + Mul<Output = Self> {}
+/// Scalar the dense kernels are generic over: `f64`, and `f32` for the
+/// opt-in fast inference path. The blocked GEMM needs only the ring
+/// operations (`Default` must be the additive identity); the rest is
+/// what the tape-free network forward applies elementwise.
+pub trait Scalar:
+    Copy
+    + Default
+    + PartialOrd
+    + AddAssign
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+{
+    /// Converts from `f64` (exact for `f64`, rounding for `f32`).
+    fn from_f64(v: f64) -> Self;
+    /// Widens to `f64` (exact).
+    fn to_f64(self) -> f64;
+    /// The larger of two values (IEEE `maxNum`, as [`f64::max`]).
+    fn max(self, other: Self) -> Self;
+    /// `e^self`.
+    fn exp(self) -> Self;
+    /// Hyperbolic tangent.
+    fn tanh(self) -> Self;
+    /// Runs `f` with this scalar's thread-local pack buffers (A panel,
+    /// B panel). Falls back to fresh buffers if re-entered, so a
+    /// panicking caller can never poison the scratch.
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<Self>) -> R) -> R;
+}
 
-impl GemmScalar for f64 {}
-impl GemmScalar for f32 {}
+type Scratch<T> = RefCell<(Vec<T>, Vec<T>)>;
 
 thread_local! {
-    static SCRATCH_F64: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    static SCRATCH_F32: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    static SCRATCH_F64: Scratch<f64> = const { RefCell::new((Vec::new(), Vec::new())) };
+    static SCRATCH_F32: Scratch<f32> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Runs `f` with the thread-local f64 pack buffers (A panel, B panel).
-/// Falls back to fresh buffers if re-entered, so a panicking caller can
-/// never poison the scratch.
-pub fn with_f64_scratch<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
-    SCRATCH_F64.with(|cell| match cell.try_borrow_mut() {
+fn with_pack_scratch<T, R>(
+    key: &'static LocalKey<Scratch<T>>,
+    f: impl FnOnce(&mut Vec<T>, &mut Vec<T>) -> R,
+) -> R {
+    key.with(|cell| match cell.try_borrow_mut() {
         Ok(mut guard) => {
             let (apack, bpack) = &mut *guard;
             f(apack, bpack)
@@ -78,15 +105,46 @@ pub fn with_f64_scratch<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) ->
     })
 }
 
-/// f32 twin of [`with_f64_scratch`].
-pub fn with_f32_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> R) -> R {
-    SCRATCH_F32.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut guard) => {
-            let (apack, bpack) = &mut *guard;
-            f(apack, bpack)
-        }
-        Err(_) => f(&mut Vec::new(), &mut Vec::new()),
-    })
+impl Scalar for f64 {
+    fn from_f64(v: f64) -> Self {
+        v
+    }
+    fn to_f64(self) -> f64 {
+        self
+    }
+    fn max(self, other: Self) -> Self {
+        f64::max(self, other)
+    }
+    fn exp(self) -> Self {
+        f64::exp(self)
+    }
+    fn tanh(self) -> Self {
+        f64::tanh(self)
+    }
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
+        with_pack_scratch(&SCRATCH_F64, f)
+    }
+}
+
+impl Scalar for f32 {
+    fn from_f64(v: f64) -> Self {
+        crate::dense32::narrow(v)
+    }
+    fn to_f64(self) -> f64 {
+        f64::from(self)
+    }
+    fn max(self, other: Self) -> Self {
+        f32::max(self, other)
+    }
+    fn exp(self) -> Self {
+        f32::exp(self)
+    }
+    fn tanh(self) -> Self {
+        f32::tanh(self)
+    }
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> R) -> R {
+        with_pack_scratch(&SCRATCH_F32, f)
+    }
 }
 
 /// Packs an `mc × kc` logical block of A into `MR`-row strips, k-major
@@ -96,7 +154,7 @@ pub fn with_f32_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> R) ->
 /// `self` without materializing `selfᵀ`.
 // stco-hot
 #[allow(clippy::too_many_arguments)]
-fn pack_a<T: GemmScalar>(
+fn pack_a<T: Scalar>(
     src: &[T],
     ld: usize,
     trans: bool,
@@ -134,7 +192,7 @@ fn pack_a<T: GemmScalar>(
 /// (`src[(col0+c)*ld + k0+kk]`), which is how the NT driver views `rhs`.
 // stco-hot
 #[allow(clippy::too_many_arguments)]
-fn pack_b<T: GemmScalar>(
+fn pack_b<T: Scalar>(
     src: &[T],
     ld: usize,
     trans: bool,
@@ -174,7 +232,7 @@ fn pack_b<T: GemmScalar>(
 /// bound-check-free `MR`/`NR`-wide strips.
 // stco-hot
 #[inline(always)]
-fn micro_acc<T: GemmScalar>(kc: usize, a: &[T], b: &[T], c: &mut [[T; NR]; MR]) {
+fn micro_acc<T: Scalar>(kc: usize, a: &[T], b: &[T], c: &mut [[T; NR]; MR]) {
     let [c0, c1, c2, c3] = c;
     for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
         let (a0, a1, a2, a3) = (av[0], av[1], av[2], av[3]);
@@ -196,7 +254,7 @@ fn micro_acc<T: GemmScalar>(kc: usize, a: &[T], b: &[T], c: &mut [[T; NR]; MR]) 
 #[allow(clippy::too_many_arguments)]
 #[inline]
 // stco-hot
-fn micro_tile_load_store<T: GemmScalar>(
+fn micro_tile_load_store<T: Scalar>(
     kc: usize,
     a: &[T],
     b: &[T],
@@ -227,7 +285,7 @@ fn micro_tile_load_store<T: GemmScalar>(
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 // stco-hot
-fn micro_tile_load_store_partial<T: GemmScalar>(
+fn micro_tile_load_store_partial<T: Scalar>(
     kc: usize,
     a: &[T],
     b: &[T],
@@ -262,7 +320,7 @@ fn micro_tile_load_store_partial<T: GemmScalar>(
 #[allow(clippy::too_many_arguments)]
 #[inline]
 // stco-hot
-fn micro_tile_fresh_add<T: GemmScalar>(
+fn micro_tile_fresh_add<T: Scalar>(
     k: usize,
     a: &[T],
     b: &[T],
@@ -291,7 +349,7 @@ fn micro_tile_fresh_add<T: GemmScalar>(
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 // stco-hot
-fn micro_tile_fresh_add_partial<T: GemmScalar>(
+fn micro_tile_fresh_add_partial<T: Scalar>(
     k: usize,
     a: &[T],
     b: &[T],
@@ -318,7 +376,7 @@ fn micro_tile_fresh_add_partial<T: GemmScalar>(
 /// its panels in ascending-`k` order — the bitwise contract.
 // stco-hot
 #[allow(clippy::too_many_arguments)]
-fn gemm_direct_blocked<T: GemmScalar>(
+fn gemm_direct_blocked<T: Scalar>(
     m: usize,
     n: usize,
     k: usize,
@@ -366,7 +424,7 @@ fn gemm_direct_blocked<T: GemmScalar>(
 /// Blocked `out += A·B` for row-major `A: m×k`, `B: k×n`, `out: m×n`.
 /// Bitwise-identical to the naive ikj kernel.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_nn_blocked<T: GemmScalar>(
+pub fn gemm_nn_blocked<T: Scalar>(
     m: usize,
     n: usize,
     k: usize,
@@ -384,7 +442,7 @@ pub fn gemm_nn_blocked<T: GemmScalar>(
 /// Blocked `out += Aᵀ·B` for row-major `A: k×m` (passed untransposed),
 /// `B: k×n`, `out: m×n`. Bitwise-identical to the naive kij kernel.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_tn_blocked<T: GemmScalar>(
+pub fn gemm_tn_blocked<T: Scalar>(
     m: usize,
     n: usize,
     k: usize,
@@ -406,7 +464,7 @@ pub fn gemm_tn_blocked<T: GemmScalar>(
 /// `(MC + NC) × k` scalars, fine for the `k ≲ 10³` this workspace sees.
 // stco-hot
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_blocked<T: GemmScalar>(
+pub fn gemm_nt_blocked<T: Scalar>(
     m: usize,
     n: usize,
     k: usize,

@@ -30,8 +30,9 @@ pub mod solve;
 pub mod sparse;
 pub mod stats;
 
-pub use dense::Matrix;
+pub use dense::{Dense, Matrix};
 pub use dense32::MatrixF32;
+pub use gemm::Scalar;
 pub use sparse::CsrMatrix;
 
 /// Workspace-wide error type for numerical routines.

@@ -181,22 +181,3 @@ fn global_override_takes_precedence_and_clears() {
     assert!(ParConfig::current().threads >= 1);
     assert!(ParConfig::with_threads(0).threads == 1);
 }
-
-/// Multi-threaded regions publish pool-health metrics on the global
-/// recorder: a utilization gauge in (0, 1] and an item counter.
-#[test]
-fn parallel_region_publishes_pool_utilization() {
-    let items: Vec<u64> = (0..64).collect();
-    let before = stco_obs::Recorder::global()
-        .metrics()
-        .counter("par.region_items")
-        .get();
-    par_map(ParConfig::with_threads(4), &items, |&x| {
-        std::thread::sleep(std::time::Duration::from_micros(200));
-        x * 2
-    });
-    let metrics = stco_obs::Recorder::global().metrics();
-    let util = metrics.gauge("par.pool_utilization").get();
-    assert!(util > 0.0 && util <= 1.0, "utilization {util}");
-    assert_eq!(metrics.counter("par.region_items").get(), before + 64);
-}

@@ -6,11 +6,12 @@
 //! The service runs [`BatchConfig::shards`] independent shards.
 //! Requests route to a shard by **consistent hashing** over the model
 //! id (the stco-store content address, `kind:hexkey`): an FNV-1a-64
-//! ring with 64 virtual nodes per shard, so same-model requests always
-//! land on the same shard and keep `predict_batch` grouping dense,
-//! while distinct models spread across shards. Each shard owns its own
-//! warm `Arc` model cache, bounded queue, condvar and worker thread —
-//! no cross-shard locks on the hot path.
+//! ring (murmur3-finalized) with 64 virtual nodes per shard, so
+//! same-model requests always land on the same shard and keep
+//! `predict_batch` grouping dense, while distinct models spread across
+//! shards. Each shard owns its own warm `Arc` model cache, bounded
+//! queue, condvar and worker thread — no cross-shard locks on the hot
+//! path.
 //!
 //! # Batching policy
 //!
@@ -76,7 +77,7 @@ use std::time::{Duration, Instant};
 
 use stco_cells::encode::{CellGraph, FEATURE_DIM};
 use stco_nn::gnn::GraphData;
-use stco_store::{Artifact, ArtifactKey, Registry};
+use stco_store::{fnv1a64, Artifact, ArtifactKey, Registry};
 use stco_surrogate::cell_model::{BatchedCellGraph, CellModel, InferencePrecision, METRICS};
 use stco_surrogate::encoding::{EDGE_DIM, NODE_DIM};
 use stco_surrogate::iv_predictor::IvPredictor;
@@ -442,18 +443,12 @@ struct Shard {
     depth: AtomicUsize,
 }
 
-/// FNV-1a 64-bit — stable, dependency-free, good enough dispersion for
-/// ring placement.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    // FNV alone leaves the high bits under-mixed for strings that differ
-    // only near the tail (one multiply cannot lift a small delta into
-    // the top bits), which collapses the ring: finish with a murmur3-
-    // style avalanche so nearby ids land far apart.
+/// The murmur3 64-bit finalizer, applied to [`fnv1a64`] ring hashes:
+/// FNV alone leaves the high bits under-mixed for strings that differ
+/// only near the tail (one multiply cannot lift a small delta into the
+/// top bits), which collapses the ring; the avalanche lands nearby ids
+/// far apart.
+fn fmix64(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -477,7 +472,7 @@ impl HashRing {
         for shard in 0..shards {
             for vnode in 0..VNODES_PER_SHARD {
                 points.push((
-                    fnv1a64(format!("shard-{shard}/vnode-{vnode}").as_bytes()),
+                    fmix64(fnv1a64(format!("shard-{shard}/vnode-{vnode}").as_bytes())),
                     shard,
                 ));
             }
@@ -490,7 +485,7 @@ impl HashRing {
         if self.points.len() <= VNODES_PER_SHARD {
             return 0;
         }
-        let h = fnv1a64(id.as_bytes());
+        let h = fmix64(fnv1a64(id.as_bytes()));
         let i = self.points.partition_point(|(p, _)| *p < h);
         self.points[i % self.points.len()].1
     }

@@ -245,3 +245,39 @@ fn drain_and_resume_roundtrip_over_the_wire() {
     client.shutdown().expect("shutdown");
     server.wait();
 }
+
+/// Ring placement is part of the routing contract: changing the hash
+/// would move every model to a different home shard. These homes were
+/// recorded from the FNV-1a + murmur3-finalizer ring and must not drift.
+#[test]
+fn routing_homes_are_pinned() {
+    let ids = [
+        "cell-model:0000000000000000",
+        "cell-model:0000000000000001",
+        "cell-model:0000000000000002",
+        "cell-model:00000000000000ff",
+        "cell-model:9e3779b97f4a7c15",
+        "cell-model:alias0",
+        "cell-model:alias1",
+        "cell-model:alias7",
+        "poisson-emulator:0123456789abcdef",
+        "iv-predictor:fedcba9876543210",
+        "system-surrogate:0000000000000000",
+        "x",
+    ];
+    for (shards, want) in [
+        (2, [0, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0]),
+        (4, [2, 3, 0, 3, 3, 0, 2, 2, 1, 1, 2, 2]),
+    ] {
+        let service = ModelService::start(
+            None,
+            BatchConfig {
+                shards,
+                ..BatchConfig::default()
+            },
+        );
+        let homes: Vec<usize> = ids.iter().map(|id| service.shard_for(id)).collect();
+        assert_eq!(homes, want, "{shards} shards");
+        service.shutdown();
+    }
+}

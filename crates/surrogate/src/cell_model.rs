@@ -7,18 +7,18 @@
 //! standardized per metric; [`CellModel::evaluate_mape`] reports the
 //! Table IV metric (MAPE in original units).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use stco_cells::encode::{CellGraph, FEATURE_DIM};
-use stco_nn::ad::Graph;
+use stco_nn::ad::{segment_mean_forward, Graph};
 use stco_nn::gnn::{GcnLayer, GraphBatch, GraphData};
-use stco_nn::layers::{Activation, Linear, Mlp};
+use stco_nn::layers::{Activation, Mlp};
 use stco_nn::optim::Adam;
 use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
 use stco_nn::Params;
-use stco_numerics::dense32::narrow;
-use stco_numerics::{CsrMatrix, Matrix, MatrixF32};
+use stco_numerics::{CsrMatrix, Dense, Matrix, MatrixF32, Scalar};
 use stco_par::ParConfig;
 
 use crate::{Result, SurrogateError};
@@ -82,13 +82,16 @@ impl Default for CellModelConfig {
 
 /// Numeric precision of the inference forward pass.
 ///
-/// The default [`InferencePrecision::F64`] path is bitwise-deterministic:
-/// batched, threaded and blocked-kernel forwards reproduce the serial
-/// result bit for bit. [`InferencePrecision::F32`] is an opt-in fast
-/// path — weights are narrowed once by [`CellModel::set_precision`] and
-/// the blocked GEMM kernels run in single precision — that trades the
-/// bitwise contract for a property-tested relative-error bound of
-/// [`F32_REL_ERROR_BOUND`] per predicted value (DESIGN.md §15).
+/// Both precisions run the same tape-free forward; the precision only
+/// picks where the weights come from. The default
+/// [`InferencePrecision::F64`] reads the trained parameters in place and
+/// is bitwise-deterministic: batched, threaded and blocked-kernel
+/// forwards reproduce the serial result, and the training tape's, bit
+/// for bit. [`InferencePrecision::F32`] is an opt-in fast path — the
+/// weights are narrowed once by [`CellModel::set_precision`] and the
+/// forward runs in single precision — that trades the bitwise contract
+/// for a property-tested relative-error bound of [`F32_REL_ERROR_BOUND`]
+/// per predicted value (DESIGN.md §15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InferencePrecision {
     /// Double precision, bitwise-deterministic (the default).
@@ -104,14 +107,6 @@ pub enum InferencePrecision {
 /// `STCO_PRECISION=f32`.
 pub const F32_REL_ERROR_BOUND: f64 = 1.0e-3;
 
-/// Weights narrowed to `f32` once, at [`CellModel::set_precision`] time:
-/// `(weight, bias-row)` per GCN layer and per head linear.
-#[derive(Debug, Clone)]
-struct F32Weights {
-    layers: Vec<(MatrixF32, MatrixF32)>,
-    heads: Vec<Vec<(MatrixF32, MatrixF32)>>,
-}
-
 /// The trained (or trainable) cell-characterization surrogate.
 #[derive(Debug, Clone)]
 pub struct CellModel {
@@ -122,19 +117,22 @@ pub struct CellModel {
     // Per-metric (mean, std) of log-targets.
     norms: Vec<(f64, f64)>,
     precision: InferencePrecision,
-    f32_weights: Option<Arc<F32Weights>>,
+    // `params` narrowed once, in canonical order; present exactly when
+    // `precision` is F32.
+    f32_params: Option<Arc<Vec<MatrixF32>>>,
 }
 
 /// A batch of encoded cell graphs packed into one disjoint union:
 /// block-diagonal normalized adjacency, stacked node features and
 /// per-node graph ids for segment-pooled readout.
 ///
-/// Packing feeds [`CellModel::predict_batch`], which runs the GCN trunk
-/// over the whole union in a few large GEMMs instead of one small GEMM
-/// chain per graph. Because the union adjacency is block-diagonal and
-/// every trunk operation is row-independent (or segment-contiguous), the
-/// batched `f64` forward is bitwise-identical to looping
-/// [`CellModel::predict_many`] over the graphs.
+/// Every forward runs over a packed batch: [`CellModel::predict_batch`]
+/// runs the GCN trunk over the whole union in a few large GEMMs instead
+/// of one small GEMM chain per graph, and [`CellModel::predict_many`] and
+/// training pack a batch of one. Because the union adjacency is
+/// block-diagonal and every trunk operation is row-independent (or
+/// segment-contiguous), the batched `f64` forward is bitwise-identical to
+/// looping [`CellModel::predict_many`] over the graphs.
 #[derive(Debug, Clone)]
 pub struct BatchedCellGraph {
     adj: Arc<CsrMatrix>,
@@ -191,27 +189,14 @@ impl BatchedCellGraph {
 }
 
 struct Prepared {
-    adj: Arc<CsrMatrix>,
-    features: Matrix,
-    seg: Arc<Vec<usize>>,
+    graph: BatchedCellGraph,
     metric: usize,
     log_value: f64,
 }
 
 fn prepare(sample: &CellSample) -> Prepared {
-    let n = sample.graph.num_nodes();
-    let mut gd = GraphData {
-        node_features: Matrix::from_vec(n, FEATURE_DIM, sample.graph.features.clone()),
-        edges: sample.graph.edges.clone(),
-        edge_features: Matrix::zeros(sample.graph.edges.len(), 0),
-    };
-    // normalized_adjacency adds implicit self-loops itself.
-    let adj = Arc::new(gd.normalized_adjacency());
-    let features = std::mem::take(&mut gd.node_features);
     Prepared {
-        adj,
-        features,
-        seg: Arc::new(vec![0usize; n]),
+        graph: BatchedCellGraph::pack(&[&sample.graph]),
         metric: sample.metric,
         log_value: sample.value.max(1e-21).log10(),
     }
@@ -251,7 +236,7 @@ impl CellModel {
             config,
             norms: vec![(0.0, 1.0); METRICS.len()],
             precision: InferencePrecision::default(),
-            f32_weights: None,
+            f32_params: None,
         }
     }
 
@@ -266,27 +251,19 @@ impl CellModel {
     /// Training refreshes the narrowed weights automatically.
     pub fn set_precision(&mut self, precision: InferencePrecision) {
         self.precision = precision;
-        self.f32_weights = match precision {
-            InferencePrecision::F32 => Some(Arc::new(self.narrow_weights())),
-            InferencePrecision::F64 => None,
-        };
+        self.refresh_f32_params();
     }
 
-    fn narrow_weights(&self) -> F32Weights {
-        let nw = |lin: &Linear| {
-            (
-                MatrixF32::from_f64(self.params.value(lin.weight())),
-                MatrixF32::from_f64(self.params.value(lin.bias())),
+    fn refresh_f32_params(&mut self) {
+        self.f32_params = (self.precision == InferencePrecision::F32).then(|| {
+            Arc::new(
+                self.params
+                    .values()
+                    .iter()
+                    .map(MatrixF32::from_f64)
+                    .collect(),
             )
-        };
-        F32Weights {
-            layers: self.layers.iter().map(|l| nw(l.linear())).collect(),
-            heads: self
-                .heads
-                .iter()
-                .map(|h| h.layers().iter().map(nw).collect())
-                .collect(),
-        }
+        });
     }
 
     /// Total scalar parameter count.
@@ -363,19 +340,21 @@ impl CellModel {
                 let mut total = 0.0;
                 for item in &val_prepared {
                     let (mean, std) = norms[item.metric];
-                    let p = Graph::with_scratch(|g| {
-                        let pred = forward_one(&layers, &heads, params, item, g);
-                        g.value(pred).get(0, 0)
-                    });
+                    let p = standardized_outputs(
+                        &layers,
+                        &heads,
+                        params.values(),
+                        &item.graph.features,
+                        &item.graph,
+                        &[&[item.metric]],
+                    )[0][0];
                     let t = (item.log_value - mean) / std;
                     total += (p - t) * (p - t);
                 }
                 total / val_prepared.len() as f64
             }),
         );
-        if self.precision == InferencePrecision::F32 {
-            self.f32_weights = Some(Arc::new(self.narrow_weights()));
-        }
+        self.refresh_f32_params();
         Ok(history)
     }
 
@@ -391,37 +370,8 @@ impl CellModel {
     /// (the trunk recomputes to the same bits), at one trunk evaluation
     /// instead of `metrics.len()`.
     pub fn predict_many(&self, graph: &CellGraph, metrics: &[usize]) -> Vec<f64> {
-        if self.precision == InferencePrecision::F32 {
-            if let Some(w) = &self.f32_weights {
-                let batch = BatchedCellGraph::pack(&[graph]);
-                return self.forward_f32(w, &batch, &[metrics]).swap_remove(0);
-            }
-        }
-        let n = graph.num_nodes();
-        let mut gd = GraphData {
-            node_features: Matrix::from_vec(n, FEATURE_DIM, graph.features.clone()),
-            edges: graph.edges.clone(),
-            edge_features: Matrix::zeros(graph.edges.len(), 0),
-        };
-        let adj = Arc::new(gd.normalized_adjacency());
-        let features = std::mem::take(&mut gd.node_features);
-        let seg = Arc::new(vec![0usize; n]);
-        Graph::with_scratch(|g| {
-            let mut h = g.input(features);
-            for layer in &self.layers {
-                h = layer.forward(g, &self.params, &adj, h);
-            }
-            let pooled = g.segment_mean(h, seg, 1);
-            metrics
-                .iter()
-                .map(|&metric| {
-                    let pred = self.heads[metric].forward(g, &self.params, pooled);
-                    let z = g.value(pred).get(0, 0);
-                    let (mean, std) = self.norms[metric];
-                    10.0_f64.powf(z * std + mean)
-                })
-                .collect()
-        })
+        self.forward(&BatchedCellGraph::pack(&[graph]), &[metrics])
+            .swap_remove(0)
     }
 
     /// Predicts metrics for every graph in a packed batch with one trunk
@@ -449,84 +399,38 @@ impl CellModel {
             batch.num_graphs,
             "one metric list per graph in the batch"
         );
-        if self.precision == InferencePrecision::F32 {
-            if let Some(w) = &self.f32_weights {
-                return self.forward_f32(w, batch, metrics);
-            }
-        }
-        let mut needed: Vec<usize> = metrics.iter().flat_map(|m| m.iter().copied()).collect();
-        needed.sort_unstable();
-        needed.dedup();
-        Graph::with_scratch(|g| {
-            let mut h = g.input(batch.features.clone());
-            for layer in &self.layers {
-                h = layer.forward(g, &self.params, &batch.adj, h);
-            }
-            let pooled = g.segment_mean(h, Arc::clone(&batch.seg), batch.num_graphs);
-            let mut columns: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            for &metric in &needed {
-                let pred = self.heads[metric].forward(g, &self.params, pooled);
-                let v = g.value(pred);
-                columns.insert(metric, (0..batch.num_graphs).map(|i| v.get(i, 0)).collect());
-            }
-            metrics
-                .iter()
-                .enumerate()
-                .map(|(gi, ms)| {
-                    ms.iter()
-                        .map(|&m| {
-                            let (mean, std) = self.norms[m];
-                            10.0_f64.powf(columns[&m][gi] * std + mean)
-                        })
-                        .collect()
-                })
-                .collect()
-        })
+        self.forward(batch, metrics)
     }
 
-    /// The tape-free single-precision forward: narrowed weights, blocked
-    /// `f32` GEMMs, f64 denormalization at the very end.
-    fn forward_f32(
-        &self,
-        w: &F32Weights,
-        batch: &BatchedCellGraph,
-        metrics: &[&[usize]],
-    ) -> Vec<Vec<f64>> {
-        let mut h = MatrixF32::from_f64(&batch.features);
-        let mut tmp = MatrixF32::default();
-        for (layer, (lw, lb)) in self.layers.iter().zip(&w.layers) {
-            linear_f32(&h, lw, lb, &mut tmp);
-            h.reset_zeroed(batch.adj.rows(), tmp.cols());
-            spmm_f32(&batch.adj, &tmp, &mut h);
-            apply_activation_f32(layer.activation(), &mut h);
-        }
-        let mut pooled = MatrixF32::default();
-        segment_mean_f32(&h, &batch.seg, batch.num_graphs, &mut pooled);
-
-        let mut needed: Vec<usize> = metrics.iter().flat_map(|m| m.iter().copied()).collect();
-        needed.sort_unstable();
-        needed.dedup();
-        let mut columns: BTreeMap<usize, MatrixF32> = BTreeMap::new();
-        for &metric in &needed {
-            let head = &w.heads[metric];
-            let mut x = pooled.clone();
-            for (i, (hw, hb)) in head.iter().enumerate() {
-                linear_f32(&x, hw, hb, &mut tmp);
-                std::mem::swap(&mut x, &mut tmp);
-                if i + 1 < head.len() {
-                    apply_activation_f32(self.heads[metric].activation(), &mut x);
-                }
-            }
-            columns.insert(metric, x);
-        }
+    /// The one inference forward, in original units; the precision only
+    /// picks the weights it reads.
+    fn forward(&self, batch: &BatchedCellGraph, metrics: &[&[usize]]) -> Vec<Vec<f64>> {
+        let z = match &self.f32_params {
+            Some(weights) => standardized_outputs(
+                &self.layers,
+                &self.heads,
+                weights,
+                &MatrixF32::from_f64(&batch.features),
+                batch,
+                metrics,
+            ),
+            None => standardized_outputs(
+                &self.layers,
+                &self.heads,
+                self.params.values(),
+                &batch.features,
+                batch,
+                metrics,
+            ),
+        };
         metrics
             .iter()
-            .enumerate()
-            .map(|(gi, ms)| {
+            .zip(z)
+            .map(|(ms, zs)| {
                 ms.iter()
-                    .map(|&m| {
+                    .zip(zs)
+                    .map(|(&m, z)| {
                         let (mean, std) = self.norms[m];
-                        let z = f64::from(columns[&m].get(gi, 0));
                         10.0_f64.powf(z * std + mean)
                     })
                     .collect()
@@ -605,6 +509,7 @@ impl CellModel {
         for (m, pair) in model.norms.iter_mut().enumerate() {
             *pair = (ns[2 * m], ns[2 * m + 1]);
         }
+        model.refresh_f32_params();
         Ok(model)
     }
 
@@ -651,80 +556,39 @@ impl CellModel {
     }
 }
 
-/// `out = x·w + b` (row-broadcast bias) in f32; `out` is reshaped.
-// stco-hot
-fn linear_f32(x: &MatrixF32, w: &MatrixF32, b: &MatrixF32, out: &mut MatrixF32) {
-    out.reset_zeroed(x.rows(), w.cols());
-    x.gemm_into(w, out);
-    for i in 0..x.rows() {
-        for (o, bv) in out.row_mut(i).iter_mut().zip(b.row(0)) {
-            *o += *bv;
-        }
+/// The GCN trunk, mean-pool readout and each requested head over a packed
+/// batch, tape-free, in the precision of `weights` (the model's tensors in
+/// canonical order). Returns the standardized log-target `z` per graph and
+/// requested metric, shaped like `metrics`.
+fn standardized_outputs<T: Scalar>(
+    layers: &[GcnLayer],
+    heads: &[Mlp],
+    weights: &[Dense<T>],
+    features: &Dense<T>,
+    batch: &BatchedCellGraph,
+    metrics: &[&[usize]],
+) -> Vec<Vec<f64>> {
+    let mut h = Cow::Borrowed(features);
+    for layer in layers {
+        h = Cow::Owned(layer.infer(weights, &batch.adj, &h));
     }
+    let mut pooled = Dense::zeros(batch.num_graphs, h.cols());
+    segment_mean_forward(&h, &batch.seg, batch.num_graphs, &mut pooled);
+    let mut needed: Vec<usize> = metrics.iter().flat_map(|m| m.iter().copied()).collect();
+    needed.sort_unstable();
+    needed.dedup();
+    let columns: BTreeMap<usize, Dense<T>> = needed
+        .into_iter()
+        .map(|m| (m, heads[m].infer(weights, &pooled)))
+        .collect();
+    metrics
+        .iter()
+        .enumerate()
+        .map(|(gi, ms)| ms.iter().map(|m| columns[m].get(gi, 0).to_f64()).collect())
+        .collect()
 }
 
-/// `out += adj · x` over a pre-zeroed `out`, narrowing the f64 CSR
-/// values per entry.
-// stco-hot
-fn spmm_f32(adj: &CsrMatrix, x: &MatrixF32, out: &mut MatrixF32) {
-    for i in 0..adj.rows() {
-        for (j, v) in adj.row_entries(i) {
-            let wf = narrow(v);
-            for (o, xv) in out.row_mut(i).iter_mut().zip(x.row(j)) {
-                *o += wf * *xv;
-            }
-        }
-    }
-}
-
-/// Mean of rows sharing a segment id, the f32 twin of
-/// `Graph::segment_mean`; `out` is reshaped to `[n_seg × cols]`.
-// stco-hot
-fn segment_mean_f32(x: &MatrixF32, seg: &[usize], n_seg: usize, out: &mut MatrixF32) {
-    out.reset_zeroed(n_seg, x.cols());
-    let mut counts = vec![0usize; n_seg];
-    for (i, &s) in seg.iter().enumerate() {
-        counts[s] += 1;
-        for (o, v) in out.row_mut(s).iter_mut().zip(x.row(i)) {
-            *o += *v;
-        }
-    }
-    for (s, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            let inv = 1.0 / narrow(c as f64);
-            for v in out.row_mut(s) {
-                *v *= inv;
-            }
-        }
-    }
-}
-
-/// Elementwise activation in f32.
-fn apply_activation_f32(act: Activation, x: &mut MatrixF32) {
-    for v in x.as_mut_slice() {
-        *v = match act {
-            Activation::Relu => v.max(0.0),
-            Activation::LeakyRelu => {
-                if *v < 0.0 {
-                    0.2 * *v
-                } else {
-                    *v
-                }
-            }
-            Activation::Elu => {
-                if *v < 0.0 {
-                    v.exp() - 1.0
-                } else {
-                    *v
-                }
-            }
-            Activation::Tanh => v.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-*v).exp()),
-            Activation::Identity => *v,
-        };
-    }
-}
-
+/// The training forward of one sample, recorded on the tape.
 fn forward_one(
     layers: &[GcnLayer],
     heads: &[Mlp],
@@ -732,11 +596,11 @@ fn forward_one(
     item: &Prepared,
     g: &mut Graph,
 ) -> stco_nn::ad::NodeId {
-    let mut h = g.input(item.features.clone());
+    let mut h = g.input(item.graph.features.clone());
     for layer in layers {
-        h = layer.forward(g, params, &item.adj, h);
+        h = layer.forward(g, params, &item.graph.adj, h);
     }
-    let pooled = g.segment_mean(h, Arc::clone(&item.seg), 1);
+    let pooled = g.segment_mean(h, Arc::clone(&item.graph.seg), 1);
     heads[item.metric].forward(g, params, pooled)
 }
 
@@ -862,6 +726,65 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The tape-free f64 inference equals the training tape bit for bit:
+    /// for every metric, `predict_many` returns `10^(z·std + mean)` with
+    /// `z` from the tape forward `forward_one`.
+    #[test]
+    fn f64_inference_matches_training_tape_bitwise() -> Result<()> {
+        let grid = stco_compact::tech::CornerGrid::default();
+        let kinds = [CellKind::Inv, CellKind::Nand2, CellKind::Nor2];
+        let base = synthetic_samples(&kinds, &grid.corners(2));
+        // One training sample per (graph, metric), so every head trains
+        // and every norm is fitted.
+        let train: Vec<CellSample> = base
+            .iter()
+            .flat_map(|s| {
+                (0..METRICS.len()).map(move |m| CellSample {
+                    metric: m,
+                    value: s.value * (m + 1) as f64,
+                    ..s.clone()
+                })
+            })
+            .collect();
+        let mut model = CellModel::new(CellModelConfig {
+            hidden: 16,
+            head_hidden: 16,
+            ..CellModelConfig::default()
+        });
+        model.train(
+            &train,
+            &[],
+            &TrainConfig {
+                epochs: 3,
+                batch_size: 8,
+                patience: None,
+                ..TrainConfig::default()
+            },
+        )?;
+        let all: Vec<usize> = (0..METRICS.len()).collect();
+        for sample in &base {
+            let inferred = model.predict_many(&sample.graph, &all);
+            for &m in &all {
+                let item = prepare(&CellSample {
+                    metric: m,
+                    ..sample.clone()
+                });
+                let mut g = Graph::new();
+                let pred = forward_one(&model.layers, &model.heads, &model.params, &item, &mut g);
+                let (mean, std) = model.norms[m];
+                let tape = 10.0_f64.powf(g.value(pred).get(0, 0) * std + mean);
+                assert_eq!(
+                    inferred[m].to_bits(),
+                    tape.to_bits(),
+                    "metric {}: inferred {:e} vs tape {tape:e}",
+                    METRICS[m],
+                    inferred[m]
+                );
+            }
+        }
+        Ok(())
     }
 
     #[test]

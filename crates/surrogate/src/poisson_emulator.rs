@@ -15,7 +15,7 @@ use stco_nn::layers::{Activation, Mlp};
 use stco_nn::optim::Adam;
 use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
 use stco_nn::Params;
-use stco_numerics::stats;
+use stco_numerics::{stats, Matrix};
 use stco_par::ParConfig;
 use stco_tcad::dataset::DeviceSample;
 
@@ -80,7 +80,7 @@ pub struct EncodedDevice {
     graph: GraphData,
     src: Arc<Vec<usize>>,
     dst: Arc<Vec<usize>>,
-    targets: stco_numerics::Matrix,
+    targets: Matrix,
 }
 
 impl EncodedDevice {
@@ -177,23 +177,16 @@ impl PoissonEmulator {
                 let loss =
                     parallel_batch_step(ParConfig::current(), params, batch, |g, params, idx| {
                         let item = &encoded[idx];
-                        let x = g.input(item.graph.node_features.clone());
-                        let e = g.input(item.graph.edge_features.clone());
-                        let mut t = item.targets.clone();
-                        for v in t.as_mut_slice() {
-                            *v = (*v - t_mean) / t_std;
-                        }
-                        let ti = g.input(t);
-                        let h = stack.forward(
-                            g,
+                        let pred = forward_one(
+                            &stack,
+                            &head,
                             params,
-                            x,
-                            e,
+                            &item.graph,
                             &item.src,
                             &item.dst,
-                            item.graph.num_nodes(),
+                            g,
                         );
-                        let pred = head.forward(g, params, h);
+                        let ti = g.input(standardized(&item.targets, t_mean, t_std));
                         g.mse_loss(pred, ti)
                     });
                 params.clip_grad_norm(5.0);
@@ -226,12 +219,7 @@ impl PoissonEmulator {
     pub fn predict_graph(&self, graph: &GraphData) -> Vec<f64> {
         let (src, dst) = index_lists(graph);
         Graph::with_scratch(|g| {
-            let x = g.input(graph.node_features.clone());
-            let e = g.input(graph.edge_features.clone());
-            let h = self
-                .stack
-                .forward(g, &self.params, x, e, &src, &dst, graph.num_nodes());
-            let pred = self.head.forward(g, &self.params, h);
+            let pred = forward_one(&self.stack, &self.head, &self.params, graph, &src, &dst, g);
             g.value(pred)
                 .as_slice()
                 .iter()
@@ -264,7 +252,7 @@ impl PoissonEmulator {
                 ),
             ],
             &self.params,
-            stco_numerics::Matrix::from_vec(1, 2, vec![self.target_mean, self.target_std]),
+            Matrix::from_vec(1, 2, vec![self.target_mean, self.target_std]),
         )
     }
 
@@ -345,26 +333,37 @@ fn eval_item(
     t_std: f64,
 ) -> (f64, usize) {
     Graph::with_scratch(|g| {
-        let x = g.input(item.graph.node_features.clone());
-        let e = g.input(item.graph.edge_features.clone());
-        let mut t = item.targets.clone();
-        for v in t.as_mut_slice() {
-            *v = (*v - t_mean) / t_std;
-        }
-        let ti = g.input(t);
-        let h = stack.forward(
-            g,
-            params,
-            x,
-            e,
-            &item.src,
-            &item.dst,
-            item.graph.num_nodes(),
-        );
-        let pred = head.forward(g, params, h);
+        let pred = forward_one(stack, head, params, &item.graph, &item.src, &item.dst, g);
+        let ti = g.input(standardized(&item.targets, t_mean, t_std));
         let loss = g.mse_loss(pred, ti);
         (g.value(loss).get(0, 0), item.graph.num_nodes())
     })
+}
+
+/// The RelGAT stack and MLP head over one encoded device graph, recorded
+/// on `g`: the one forward behind training, validation and prediction.
+fn forward_one(
+    stack: &RelGatStack,
+    head: &Mlp,
+    params: &Params,
+    graph: &GraphData,
+    src: &Arc<Vec<usize>>,
+    dst: &Arc<Vec<usize>>,
+    g: &mut Graph,
+) -> stco_nn::ad::NodeId {
+    let x = g.input(graph.node_features.clone());
+    let e = g.input(graph.edge_features.clone());
+    let h = stack.forward(g, params, x, e, src, dst, graph.num_nodes());
+    head.forward(g, params, h)
+}
+
+/// Potential targets in the standardized units the model is trained on.
+fn standardized(targets: &Matrix, mean: f64, std: f64) -> Matrix {
+    let mut t = targets.clone();
+    for v in t.as_mut_slice() {
+        *v = (*v - mean) / std;
+    }
+    t
 }
 
 /// MSE/R² pair over a dataset (normalized-target units, as Table II).
