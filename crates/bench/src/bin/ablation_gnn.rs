@@ -1,7 +1,8 @@
-//! GNN ablation bench (a design-choice study DESIGN.md calls out):
-//! the Poisson emulator with and without the RelGAT edge features, and a
-//! depth sweep — quantifying what the FEM-inspired spatial embedding and
-//! the deep stack buy.
+//! GNN ablation bench (a design-choice study DESIGN.md calls out): the
+//! Poisson emulator's RelGAT swept over depth (1, 2, 4 layers), head count
+//! (1, 2) and per-head width (8, 16) on one CNT dataset — quantifying what
+//! depth, heads and width buy in test MSE against parameter count and
+//! training time.
 
 use stco_bench::{banner, TraceSession};
 use stco_nn::train::TrainConfig;

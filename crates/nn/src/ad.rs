@@ -196,13 +196,18 @@ impl Graph {
         Graph::default()
     }
 
-    /// Clears the tape for the next forward pass, recycling every node
-    /// value into the internal buffer pool. Reusing one `Graph` across
-    /// iterations (instead of constructing a fresh one) lets forward and
-    /// backward run allocation-free once the pool has warmed up.
+    /// Clears the tape for the next forward pass, recycling every value
+    /// the tape leased into the internal buffer pool. Reusing one `Graph`
+    /// across iterations (instead of constructing a fresh one) lets
+    /// forward and backward run allocation-free once the pool has warmed
+    /// up. [`Graph::input`] values were allocated by the caller, not
+    /// leased, so they are dropped: parking them would grow the pool by
+    /// every input ever recorded, in shapes no lease may ask for.
     pub fn reset(&mut self) {
         while let Some(node) = self.nodes.pop() {
-            self.pool.recycle(node.value);
+            if !matches!(node.op, Op::Input) {
+                self.pool.recycle(node.value);
+            }
         }
     }
 
@@ -214,10 +219,13 @@ impl Graph {
 
     /// Runs `f` on a thread-local recycled tape.
     ///
-    /// Serves one-shot tape forwards — the RelGAT surrogates' `predict`
-    /// calls and validation passes — that would otherwise construct and
-    /// drop a fresh `Graph` each time: they lease their value buffers
-    /// from a per-thread pool that persists across calls. (Models built
+    /// Serves one-shot tape forwards — the RelGAT device surrogates'
+    /// predictions and validation passes, all recorded by the one shared
+    /// device-surrogate forward in `stco-surrogate` — that would
+    /// otherwise construct and drop a fresh `Graph` each time: they lease
+    /// their value buffers from a per-thread pool that persists across
+    /// calls, and the pool holds only leased buffers, so it stays bounded
+    /// by the largest forward a thread has run. (Models built
     /// from [`crate::layers::Linear`], [`crate::layers::Mlp`] and
     /// [`crate::gnn::GcnLayer`] infer without a tape, through their
     /// `infer` methods.) The tape is
@@ -536,18 +544,6 @@ impl Graph {
         spmm_forward(&a, xv, &mut out);
         let a_t = Arc::new(a.transpose());
         self.push(out, Op::SpMm { a, a_t, x })
-    }
-
-    /// Convenience wrapper: mean of rows grouped by a destination-index
-    /// list (message-passing mean aggregation). Equivalent to
-    /// [`Graph::segment_mean`] with `seg = dst`.
-    pub fn segment_mean_rows(
-        &mut self,
-        x: NodeId,
-        dst: &std::sync::Arc<Vec<usize>>,
-        num_nodes: usize,
-    ) -> NodeId {
-        self.segment_mean(x, std::sync::Arc::clone(dst), num_nodes)
     }
 
     /// Mean over all rows: `[n×d] → [1×d]`.
@@ -1419,7 +1415,8 @@ mod tests {
         reused.backward(warm, &mut params);
         reused.reset();
         assert!(reused.is_empty(), "reset clears the tape");
-        assert!(reused.free_buffers() > 0, "reset parks buffers for reuse");
+        let parked = reused.free_buffers();
+        assert!(parked > 0, "reset parks buffers for reuse");
 
         let loss2 = build(&mut reused, &params);
         params.zero_grads();
@@ -1439,6 +1436,16 @@ mod tests {
             .collect();
         assert_eq!(g1, ref_g1, "recycled buffers must not change gradient bits");
         assert_eq!(g2, ref_g2, "recycled buffers must not change gradient bits");
+
+        // Steady state: the second pass leased every buffer it needed from
+        // the pool and gives them back; the caller-owned inputs are
+        // dropped, not parked, so the free list does not grow per pass.
+        reused.reset();
+        assert_eq!(
+            reused.free_buffers(),
+            parked,
+            "reset must not keep caller-allocated input buffers"
+        );
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!   shortest-roundtrip decimal, which Rust formats/parses exactly.
 //!   [`protocol::FrameDecoder`] is the incremental flavour: it accepts
 //!   bytes at any split boundary, for nonblocking sockets.
-//! * [`mux`] / [`server`] / [`client`] — a std-only readiness-loop TCP
-//!   front end (nonblocking sockets, a small fixed pool of I/O event
-//!   threads, per-connection frame state machines) and its matching
-//!   blocking client.
+//! * [`mux`] / [`client`] — a std-only readiness-loop TCP front end,
+//!   [`TcpServer`] (nonblocking sockets, a small fixed pool of I/O
+//!   event threads, per-connection frame state machines), and its
+//!   matching blocking client.
 //! * [`loadgen`] — a closed-loop load generator that sweeps
 //!   concurrency against a running server and reports offered vs
 //!   achieved throughput with exact client-side quantiles,
@@ -48,13 +48,11 @@ pub mod demo;
 pub mod loadgen;
 pub mod mux;
 pub mod protocol;
-pub mod server;
 pub mod service;
 
 pub use client::Client;
 pub use loadgen::{run_sweep, LoadStep, SweepConfig};
-pub use mux::MuxConfig;
-pub use server::TcpServer;
+pub use mux::{MuxConfig, TcpServer};
 pub use service::{
     BatchConfig, LeasedScenario, LoadedModel, ModelService, PredictInput, SlowRequest,
     SweepBackend, SweepQueueStatus,

@@ -1,6 +1,7 @@
-//! Std-only readiness-loop connection multiplexer.
+//! The std-only TCP front end: [`TcpServer`], a readiness-loop
+//! connection multiplexer over the shared [`ModelService`].
 //!
-//! The TCP front end runs a **small fixed pool of I/O event threads**
+//! The server runs a **small fixed pool of I/O event threads**
 //! instead of one thread per connection. One blocking acceptor hands
 //! each new socket — switched to nonblocking mode — to an I/O thread
 //! round-robin; each I/O thread owns its connections outright and
@@ -18,6 +19,10 @@
 //!    short-lived helper thread;
 //! 4. **write** queued reply frames back, tolerating partial writes.
 //!
+//! Malformed frames get a typed error reply (`code: "malformed-frame"`);
+//! the connection stays usable while the stream is still frame-aligned
+//! and closes (after the reply) when a corrupt length prefix desyncs it.
+//!
 //! Replies are sequenced: every frame gets a per-connection sequence
 //! number at dispatch, completions land in an ordered ready-map, and
 //! the write pump emits them strictly in request order — pipelined
@@ -30,11 +35,11 @@
 //! and the acceptor wake it early, so reply latency does not eat the
 //! poll interval.
 //!
-//! Shutdown: the stop flag halts reads; connections flush their
-//! pending replies, close once no requests are outstanding (with a
-//! force-close grace for clients that stopped reading), and the pool
-//! exits. [`Multiplexer::stop`] then drains the service so every
-//! accepted request was answered.
+//! Shutdown — a wire `shutdown` request or [`TcpServer::stop`]: the
+//! stop flag halts reads; connections flush their pending replies,
+//! close once no requests are outstanding (with a force-close grace for
+//! clients that stopped reading), and the pool exits. The service then
+//! drains, so every accepted request was answered.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -219,26 +224,36 @@ impl Conn {
     }
 }
 
-/// The running multiplexer: acceptor + I/O thread pool over one
+/// A running TCP server: the acceptor and the I/O thread pool over one
 /// [`ModelService`].
-pub struct Multiplexer {
+pub struct TcpServer {
     shared: Arc<MuxShared>,
     acceptor: Mutex<Option<std::thread::JoinHandle<()>>>,
     io_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-impl Multiplexer {
-    /// Binds `bind` (port 0 for ephemeral) and starts the acceptor and
-    /// I/O pool.
+impl TcpServer {
+    /// Binds `bind` (use port 0 for an ephemeral port) and starts
+    /// serving `service` with default multiplexer tuning.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] if the bind or thread spawns fail.
-    pub fn start(
+    pub fn start(bind: &str, service: Arc<ModelService>) -> Result<Arc<TcpServer>> {
+        Self::start_with(bind, service, MuxConfig::default())
+    }
+
+    /// [`TcpServer::start`] with explicit multiplexer tuning: binds and
+    /// starts the acceptor and the I/O pool.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Io`] if the bind or thread spawns fail.
+    pub fn start_with(
         bind: &str,
         service: Arc<ModelService>,
         config: MuxConfig,
-    ) -> Result<Arc<Multiplexer>> {
+    ) -> Result<Arc<TcpServer>> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let io_threads = config.resolved_io_threads();
@@ -248,7 +263,7 @@ impl Multiplexer {
                 waker: Arc::new(Waker::new()),
             })
             .collect();
-        let mux = Arc::new(Multiplexer {
+        let mux = Arc::new(TcpServer {
             shared: Arc::new(MuxShared {
                 service,
                 addr,
@@ -298,14 +313,15 @@ impl Multiplexer {
         self.shared.addr
     }
 
-    /// Whether a stop has been requested.
+    /// Whether a shutdown has been requested.
     #[must_use]
     pub fn stopping(&self) -> bool {
         self.shared.stop.load(Ordering::SeqCst)
     }
 
-    /// Blocks until the multiplexer stops (via [`Multiplexer::stop`]
-    /// or a wire `shutdown`).
+    /// Blocks until the server stops (via [`TcpServer::stop`] or a
+    /// wire `shutdown`). Safe to call from the main thread of a server
+    /// binary.
     pub fn wait(&self) {
         let acceptor = {
             let mut slot = self.acceptor.lock().unwrap_or_else(|e| e.into_inner());
@@ -323,9 +339,10 @@ impl Multiplexer {
         }
     }
 
-    /// Stops the front end: no new connections or reads, pending
-    /// replies flush, the service drains (every accepted request is
-    /// answered), threads join. Idempotent.
+    /// Requests shutdown: no new connections or reads, pending replies
+    /// flush, the service drains (every accepted request is answered),
+    /// threads join. Idempotent; returns once the front end has wound
+    /// down.
     pub fn stop(&self) {
         let first = !self.shared.stop.swap(true, Ordering::SeqCst);
         if first {
@@ -368,13 +385,13 @@ impl Multiplexer {
     }
 }
 
-impl Drop for Multiplexer {
+impl Drop for TcpServer {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-fn accept_loop(listener: &TcpListener, mux: &Arc<Multiplexer>) {
+fn accept_loop(listener: &TcpListener, mux: &Arc<TcpServer>) {
     let shared = &mux.shared;
     let rejected = stco_obs::Recorder::global()
         .metrics()
@@ -405,7 +422,7 @@ fn accept_loop(listener: &TcpListener, mux: &Arc<Multiplexer>) {
 }
 
 /// One I/O event thread: sweeps its connections until stopped.
-fn io_loop(mux: &Arc<Multiplexer>, io_idx: usize) {
+fn io_loop(mux: &Arc<TcpServer>, io_idx: usize) {
     let _span = stco_obs::span!("serve.io_loop", io_thread = io_idx);
     let shared = &mux.shared;
     let mut conns: Vec<Conn> = Vec::new();
@@ -469,7 +486,7 @@ fn io_loop(mux: &Arc<Multiplexer>, io_idx: usize) {
 /// One readiness sweep over one connection: read, dispatch, write,
 /// close-check. Returns whether any progress was made.
 fn sweep_conn(
-    mux: &Arc<Multiplexer>,
+    mux: &Arc<TcpServer>,
     io_idx: usize,
     conn: &mut Conn,
     scratch: &mut [u8],
@@ -515,7 +532,7 @@ fn sweep_conn(
 
 /// Reads up to the per-sweep budget, feeding the frame decoder and
 /// dispatching completed frames.
-fn pump_reads(mux: &Arc<Multiplexer>, io_idx: usize, conn: &mut Conn, scratch: &mut [u8]) -> bool {
+fn pump_reads(mux: &Arc<TcpServer>, io_idx: usize, conn: &mut Conn, scratch: &mut [u8]) -> bool {
     let mut progressed = false;
     for _ in 0..READS_PER_SWEEP {
         match conn.stream.read(scratch) {
@@ -600,7 +617,7 @@ fn pump_writes(conn: &mut Conn) -> bool {
 /// Dispatches one decoded frame (or per-frame decode error). The reply
 /// lands at this frame's sequence slot — immediately for cheap ops,
 /// from a completion for `predict`/`drain`.
-fn dispatch_item(mux: &Arc<Multiplexer>, io_idx: usize, conn: &mut Conn, item: Result<JsonValue>) {
+fn dispatch_item(mux: &Arc<TcpServer>, io_idx: usize, conn: &mut Conn, item: Result<JsonValue>) {
     let shared = &mux.shared;
     let seq = conn.next_seq;
     conn.next_seq += 1;

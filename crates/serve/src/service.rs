@@ -1105,84 +1105,66 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
     }
 }
 
+/// One cell request of a packed group: its `work` index, graph and
+/// requested metrics.
+type CellItem<'a> = (usize, &'a CellGraph, &'a [usize]);
+
 /// One forward-pass unit of a drained batch: either a single request or
-/// a group of cell-graph requests sharing a model.
-enum ForwardTask {
+/// every valid cell-graph request for one cell model.
+enum ForwardTask<'a> {
     Single(usize),
-    CellGroup(Vec<usize>),
+    Cells(&'a CellModel, Vec<CellItem<'a>>),
 }
 
-/// Executes one drained batch. Cell-graph requests that share a model
-/// are packed into one block-diagonal [`BatchedCellGraph`] and answered
-/// by a single [`CellModel::predict_batch`] trunk evaluation — a few
-/// large blocked GEMMs instead of one small GEMM chain per request.
-/// Everything else (other model kinds, lone cell requests) runs its own
-/// per-item forward. The output is indexed like `work`, and every value
-/// is bitwise-identical to the per-item [`LoadedModel::predict`] result
-/// under the default `f64` precision (DESIGN.md §15).
+/// Executes one drained batch. Valid cell-graph requests that share a
+/// model are packed into one block-diagonal [`BatchedCellGraph`] and
+/// answered by a single [`CellModel::predict_batch`] trunk evaluation —
+/// a few large blocked GEMMs instead of one small GEMM chain per request;
+/// a lone cell request is a batch of one, as in
+/// [`CellModel::predict_many`]. Everything else (other model kinds,
+/// invalid inputs) runs its own [`LoadedModel::predict`]. The output is
+/// indexed like `work`, and every value is bitwise-identical to the
+/// per-item [`LoadedModel::predict`] result under the default `f64`
+/// precision (DESIGN.md §15).
 fn forward_batch(work: &[(Arc<LoadedModel>, PredictInput)]) -> Vec<Result<Vec<f64>>> {
-    // Group cell items by model identity (Arc pointer): requests for
-    // the same installed model share weights and can be packed.
-    let mut cell_groups: HashMap<usize, Vec<usize>> = HashMap::new();
+    // Group cell items by model identity: requests for the same
+    // installed model share weights and are packed. Groups keep
+    // first-member order, so the task list is deterministic.
+    let mut groups: Vec<(&CellModel, Vec<CellItem<'_>>)> = Vec::new();
+    let mut singles: Vec<usize> = Vec::new();
     for (i, (model, input)) in work.iter().enumerate() {
-        if matches!(
-            (model.as_ref(), input),
-            (LoadedModel::Cell(_), PredictInput::Cell { .. })
-        ) && input.validate().is_ok()
-        {
-            cell_groups
-                .entry(Arc::as_ptr(model) as usize)
-                .or_default()
-                .push(i);
+        match (model.as_ref(), input) {
+            (LoadedModel::Cell(cell), PredictInput::Cell { graph, metrics })
+                if input.validate().is_ok() =>
+            {
+                let item = (i, graph, metrics.as_slice());
+                match groups.iter_mut().find(|(m, _)| std::ptr::eq(*m, cell)) {
+                    Some((_, items)) => items.push(item),
+                    None => groups.push((cell, vec![item])),
+                }
+            }
+            _ => singles.push(i),
         }
     }
-    // Order groups by first member so the task list is deterministic
-    // regardless of allocator-dependent Arc pointer values.
-    let mut groups: Vec<Vec<usize>> = cell_groups
-        .into_values()
-        .filter(|idxs| idxs.len() > 1)
+    let tasks: Vec<ForwardTask<'_>> = groups
+        .into_iter()
+        .map(|(cell, items)| ForwardTask::Cells(cell, items))
+        .chain(singles.into_iter().map(ForwardTask::Single))
         .collect();
-    groups.sort_unstable_by_key(|idxs| idxs[0]);
-    let mut tasks: Vec<ForwardTask> = Vec::new();
-    let mut in_group = vec![false; work.len()];
-    for idxs in groups {
-        for &i in &idxs {
-            in_group[i] = true;
-        }
-        tasks.push(ForwardTask::CellGroup(idxs));
-    }
-    for (i, grouped) in in_group.iter().enumerate() {
-        if !grouped {
-            tasks.push(ForwardTask::Single(i));
-        }
-    }
     let produced = stco_par::par_map(stco_par::ParConfig::current(), &tasks, |task| match task {
         ForwardTask::Single(i) => {
             let (model, input) = &work[*i];
             vec![(*i, model.predict(input))]
         }
-        ForwardTask::CellGroup(idxs) => {
-            let LoadedModel::Cell(cell) = work[idxs[0]].0.as_ref() else {
-                return idxs
-                    .iter()
-                    .map(|&i| (i, work[i].0.predict(&work[i].1)))
-                    .collect();
-            };
-            let mut graphs: Vec<&CellGraph> = Vec::with_capacity(idxs.len());
-            let mut metric_lists: Vec<&[usize]> = Vec::with_capacity(idxs.len());
-            for &i in idxs {
-                let PredictInput::Cell { graph, metrics } = &work[i].1 else {
-                    return idxs
-                        .iter()
-                        .map(|&i| (i, work[i].0.predict(&work[i].1)))
-                        .collect();
-                };
-                graphs.push(graph);
-                metric_lists.push(metrics.as_slice());
-            }
-            let packed = BatchedCellGraph::pack(&graphs);
-            let outs = cell.predict_batch(&packed, &metric_lists);
-            idxs.iter().copied().zip(outs.into_iter().map(Ok)).collect()
+        ForwardTask::Cells(cell, items) => {
+            let graphs: Vec<&CellGraph> = items.iter().map(|&(_, graph, _)| graph).collect();
+            let metrics: Vec<&[usize]> = items.iter().map(|&(_, _, metrics)| metrics).collect();
+            let outs = cell.predict_batch(&BatchedCellGraph::pack(&graphs), &metrics);
+            items
+                .iter()
+                .map(|&(i, ..)| i)
+                .zip(outs.into_iter().map(Ok))
+                .collect()
         }
     });
     // Every index is covered by exactly one task; the placeholder only

@@ -6,22 +6,23 @@
 //! include both the self-consistent charge density and the potential,
 //! and the regression target is `log₁₀|I_D|` (currents span many
 //! decades).
+//!
+//! This file holds only what is specific to the predictor: the
+//! architecture config, the mean-pool readout and 4-layer head, and the
+//! log-current target. Training, prediction, evaluation and the artifact
+//! round-trip are the shared RelGAT device-surrogate core's, which the
+//! Poisson emulator runs too.
 
-use std::sync::Arc;
-
-use stco_nn::ad::Graph;
-use stco_nn::gnn::{GraphData, RelGatStack};
-use stco_nn::layers::{Activation, Mlp};
-use stco_nn::optim::Adam;
-use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
-use stco_nn::Params;
-use stco_numerics::stats;
-use stco_par::ParConfig;
+use stco_nn::gnn::GraphData;
+use stco_nn::train::TrainConfig;
+use stco_numerics::Matrix;
+use stco_obs::json::JsonValue;
 use stco_tcad::dataset::DeviceSample;
 
-use crate::encoding::{encode_device, index_lists, TaskFeatures, EDGE_DIM, NODE_DIM};
-use crate::poisson_emulator::RegressionMetrics;
-use crate::{Result, SurrogateError};
+use crate::artifact::{meta_usize, num};
+use crate::device_gnn::{DeviceGnn, Readout, RegressionMetrics, Task};
+use crate::encoding::TaskFeatures;
+use crate::Result;
 
 /// Architecture hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -67,36 +68,19 @@ impl IvConfig {
     }
 }
 
+/// The predictor's task: charge-density and potential features in, one
+/// `log₁₀|I_D|` per device out.
+const TASK: Task = Task {
+    features: TaskFeatures::Iv,
+    readout: Readout::MeanPool,
+    target: |sample| Matrix::from_vec(1, 1, vec![sample.log_current()]),
+};
+
 /// A trained (or trainable) IV predictor.
 #[derive(Debug, Clone)]
 pub struct IvPredictor {
-    params: Params,
-    stack: RelGatStack,
-    head: Mlp,
+    core: DeviceGnn,
     config: IvConfig,
-    target_mean: f64,
-    target_std: f64,
-}
-
-struct EncodedIv {
-    graph: GraphData,
-    src: Arc<Vec<usize>>,
-    dst: Arc<Vec<usize>>,
-    seg: Arc<Vec<usize>>,
-    target: f64,
-}
-
-fn encode(sample: &DeviceSample) -> EncodedIv {
-    let graph = encode_device(sample, TaskFeatures::Iv);
-    let (src, dst) = index_lists(&graph);
-    let seg = Arc::new(vec![0usize; graph.num_nodes()]);
-    EncodedIv {
-        graph,
-        src,
-        dst,
-        seg,
-        target: sample.log_current(),
-    }
 }
 
 impl IvPredictor {
@@ -105,41 +89,24 @@ impl IvPredictor {
 
     /// Builds an untrained predictor.
     pub fn new(config: IvConfig) -> Self {
-        let mut params = Params::new(config.seed);
-        let stack = RelGatStack::new(
-            &mut params,
-            NODE_DIM,
-            EDGE_DIM,
-            config.head_dim,
-            config.heads,
-            config.depth,
-        );
-        let hidden = stack.hidden_dim();
-        // 4-layer MLP head, as the paper specifies.
-        let head = Mlp::new(
-            &mut params,
-            &[
-                hidden,
-                config.mlp_hidden,
-                config.mlp_hidden,
-                config.mlp_hidden / 2,
-                1,
-            ],
-            Activation::Elu,
-        );
+        let m = config.mlp_hidden;
         IvPredictor {
-            params,
-            stack,
-            head,
+            // 4-layer MLP head, as the paper specifies.
+            core: DeviceGnn::new(
+                TASK,
+                config.seed,
+                config.depth,
+                config.heads,
+                config.head_dim,
+                &[m, m, m / 2],
+            ),
             config,
-            target_mean: 0.0,
-            target_std: 1.0,
         }
     }
 
     /// Total scalar parameter count (paper quotes ≈0.15 M at full scale).
     pub fn parameter_count(&self) -> usize {
-        self.params.scalar_count()
+        self.core.parameter_count()
     }
 
     /// The configuration in use.
@@ -151,74 +118,21 @@ impl IvPredictor {
     ///
     /// # Errors
     ///
-    /// Returns [`SurrogateError::BadDataset`] on an empty training set.
+    /// Returns [`crate::SurrogateError::BadDataset`] on an empty training
+    /// set.
     pub fn train(
         &mut self,
         train: &[DeviceSample],
         val: &[DeviceSample],
         train_config: &TrainConfig,
     ) -> Result<stco_nn::train::TrainHistory> {
-        if train.is_empty() {
-            return Err(SurrogateError::BadDataset {
-                context: "empty training set".into(),
-            });
-        }
-        let targets: Vec<f64> = train.iter().map(|s| s.log_current()).collect();
-        let (mean, std) = stats::mean_std(&targets)?;
-        self.target_mean = mean;
-        self.target_std = std.max(1e-9);
-
-        let encoded: Vec<EncodedIv> = train.iter().map(encode).collect();
-        let val_encoded: Vec<EncodedIv> = val.iter().map(encode).collect();
-        let mut adam = Adam::with_learning_rate(self.config.learning_rate);
-        let stack = self.stack.clone();
-        let head = self.head.clone();
-        let (t_mean, t_std) = (self.target_mean, self.target_std);
-
-        let history = fit(
-            &mut self.params,
-            train_config,
-            encoded.len(),
-            |batch, params| {
-                // Batch-accumulated SGD with deterministic parallel
-                // gradient reduction; one optimizer step per batch.
-                let loss =
-                    parallel_batch_step(ParConfig::current(), params, batch, |g, params, idx| {
-                        let item = &encoded[idx];
-                        let pred = forward_one(&stack, &head, params, item, g);
-                        let t = g.input(stco_numerics::Matrix::from_vec(
-                            1,
-                            1,
-                            vec![(item.target - t_mean) / t_std],
-                        ));
-                        g.mse_loss(pred, t)
-                    });
-                params.clip_grad_norm(5.0);
-                adam.step(params);
-                loss
-            },
-            Some(|params: &Params| {
-                if val_encoded.is_empty() {
-                    return 0.0;
-                }
-                let mut total = 0.0;
-                for item in &val_encoded {
-                    let p = Graph::with_scratch(|g| {
-                        let pred = forward_one(&stack, &head, params, item, g);
-                        g.value(pred).get(0, 0)
-                    });
-                    let t = (item.target - t_mean) / t_std;
-                    total += (p - t) * (p - t);
-                }
-                total / val_encoded.len() as f64
-            }),
-        );
-        Ok(history)
+        self.core
+            .train(train, val, train_config, self.config.learning_rate)
     }
 
     /// Predicts `log₁₀|I_D|` for one sample.
     pub fn predict_log_current(&self, sample: &DeviceSample) -> f64 {
-        self.predict_log_current_graph(&encode_device(sample, TaskFeatures::Iv))
+        self.core.predict(sample)[0]
     }
 
     /// Predicts `log₁₀|I_D|` from an already-encoded device graph (the
@@ -226,48 +140,23 @@ impl IvPredictor {
     /// [`IvPredictor::predict_log_current`] on the sample the graph was
     /// encoded from.
     pub fn predict_log_current_graph(&self, graph: &GraphData) -> f64 {
-        let (src, dst) = index_lists(graph);
-        let item = EncodedIv {
-            graph: graph.clone(),
-            src,
-            dst,
-            seg: Arc::new(vec![0usize; graph.num_nodes()]),
-            target: 0.0,
-        };
-        Graph::with_scratch(|g| {
-            let pred = forward_one(&self.stack, &self.head, &self.params, &item, g);
-            g.value(pred).get(0, 0) * self.target_std + self.target_mean
-        })
+        self.core.predict_graph(graph)[0]
     }
 
     /// Serializes the trained model into an artifact of kind
     /// `"iv-predictor"` (weights + normalization + architecture).
     pub fn to_artifact(&self) -> stco_store::Artifact {
-        use stco_obs::json::JsonValue;
-        crate::artifact::pack_model(
+        let c = &self.config;
+        self.core.to_artifact(
             Self::ARTIFACT_KIND,
             vec![
-                ("depth".to_string(), crate::artifact::num(self.config.depth)),
-                ("heads".to_string(), crate::artifact::num(self.config.heads)),
-                (
-                    "head_dim".to_string(),
-                    crate::artifact::num(self.config.head_dim),
-                ),
-                (
-                    "mlp_hidden".to_string(),
-                    crate::artifact::num(self.config.mlp_hidden),
-                ),
-                (
-                    "learning_rate".to_string(),
-                    JsonValue::Num(self.config.learning_rate),
-                ),
-                (
-                    "seed".to_string(),
-                    JsonValue::Str(self.config.seed.to_string()),
-                ),
+                ("depth".to_string(), num(c.depth)),
+                ("heads".to_string(), num(c.heads)),
+                ("head_dim".to_string(), num(c.head_dim)),
+                ("mlp_hidden".to_string(), num(c.mlp_hidden)),
+                ("learning_rate".to_string(), JsonValue::Num(c.learning_rate)),
+                ("seed".to_string(), JsonValue::Str(c.seed.to_string())),
             ],
-            &self.params,
-            stco_numerics::Matrix::from_vec(1, 2, vec![self.target_mean, self.target_std]),
         )
     }
 
@@ -281,25 +170,17 @@ impl IvPredictor {
     pub fn from_artifact(
         artifact: &stco_store::Artifact,
     ) -> std::result::Result<Self, stco_store::StoreError> {
-        let (weights, norms) = crate::artifact::unpack_model(artifact, Self::ARTIFACT_KIND)?;
-        let config = IvConfig {
-            depth: crate::artifact::meta_usize(artifact, "depth")?,
-            heads: crate::artifact::meta_usize(artifact, "heads")?,
-            head_dim: crate::artifact::meta_usize(artifact, "head_dim")?,
-            mlp_hidden: crate::artifact::meta_usize(artifact, "mlp_hidden")?,
+        // Kind first: another kind's meta need not carry these fields.
+        artifact.expect_kind(Self::ARTIFACT_KIND)?;
+        let mut model = IvPredictor::new(IvConfig {
+            depth: meta_usize(artifact, "depth")?,
+            heads: meta_usize(artifact, "heads")?,
+            head_dim: meta_usize(artifact, "head_dim")?,
+            mlp_hidden: meta_usize(artifact, "mlp_hidden")?,
             learning_rate: artifact.meta_f64("learning_rate")?,
             seed: artifact.meta_u64_str("seed")?,
-        };
-        let mut model = IvPredictor::new(config);
-        crate::artifact::import_weights(&mut model.params, weights)?;
-        let ns = norms.as_slice();
-        if ns.len() != 2 {
-            return Err(stco_store::StoreError::Header {
-                context: format!("iv norm tensor has {} values, want 2", ns.len()),
-            });
-        }
-        model.target_mean = ns[0];
-        model.target_std = ns[1];
+        });
+        model.core.restore(artifact, Self::ARTIFACT_KIND)?;
         Ok(model)
     }
 
@@ -312,49 +193,10 @@ impl IvPredictor {
     ///
     /// # Errors
     ///
-    /// Returns [`SurrogateError::BadDataset`] on an empty set.
+    /// Returns [`crate::SurrogateError::BadDataset`] on an empty set.
     pub fn evaluate(&self, samples: &[DeviceSample]) -> Result<RegressionMetrics> {
-        if samples.is_empty() {
-            return Err(SurrogateError::BadDataset {
-                context: "empty evaluation set".into(),
-            });
-        }
-        let mut preds = Vec::new();
-        let mut targets = Vec::new();
-        for s in samples {
-            preds.push((self.predict_log_current(s) - self.target_mean) / self.target_std);
-            targets.push((s.log_current() - self.target_mean) / self.target_std);
-        }
-        Ok(RegressionMetrics {
-            mse: stats::mse(&preds, &targets)?,
-            // R² is undefined for (near-)constant target sets (tiny
-            // smoke-test splits); report NaN rather than fail.
-            r_squared: stats::r_squared(&preds, &targets).unwrap_or(f64::NAN),
-            count: targets.len(),
-        })
+        self.core.evaluate(samples)
     }
-}
-
-fn forward_one(
-    stack: &RelGatStack,
-    head: &Mlp,
-    params: &Params,
-    item: &EncodedIv,
-    g: &mut Graph,
-) -> stco_nn::ad::NodeId {
-    let x = g.input(item.graph.node_features.clone());
-    let e = g.input(item.graph.edge_features.clone());
-    let h = stack.forward(
-        g,
-        params,
-        x,
-        e,
-        &item.src,
-        &item.dst,
-        item.graph.num_nodes(),
-    );
-    let pooled = g.segment_mean(h, Arc::clone(&item.seg), 1);
-    head.forward(g, params, pooled)
 }
 
 #[cfg(test)]

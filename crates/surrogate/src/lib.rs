@@ -17,6 +17,7 @@
 
 mod artifact;
 pub mod cell_model;
+mod device_gnn;
 pub mod encoding;
 pub mod iv_predictor;
 pub mod pipeline;

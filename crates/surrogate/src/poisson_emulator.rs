@@ -6,23 +6,24 @@
 //! uses 12 layers × 2 heads (≈1 M parameters); depth, head count and
 //! width are configurable so scaled-down reproductions state their
 //! configuration explicitly.
+//!
+//! This file holds only what is specific to the emulator: the
+//! architecture config, a one-hidden-layer head applied per node, and
+//! the potential-map target over charge-density-only features. Training,
+//! prediction, evaluation and the artifact round-trip are the shared
+//! RelGAT device-surrogate core's, which the IV predictor runs too.
 
-use std::sync::Arc;
-
-use stco_nn::ad::Graph;
-use stco_nn::gnn::{GraphData, RelGatStack};
-use stco_nn::layers::{Activation, Mlp};
-use stco_nn::optim::Adam;
-use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
-use stco_nn::Params;
-use stco_numerics::{stats, Matrix};
-use stco_par::ParConfig;
+use stco_nn::gnn::GraphData;
+use stco_nn::train::TrainConfig;
+use stco_obs::json::JsonValue;
 use stco_tcad::dataset::DeviceSample;
 
-use crate::encoding::{
-    encode_device, index_lists, potential_targets, TaskFeatures, EDGE_DIM, NODE_DIM,
-};
-use crate::{Result, SurrogateError};
+use crate::artifact::{meta_usize, num};
+use crate::device_gnn::{DeviceGnn, Readout, Task};
+use crate::encoding::{potential_targets, TaskFeatures};
+use crate::Result;
+
+pub use crate::device_gnn::RegressionMetrics;
 
 /// Architecture hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -64,37 +65,19 @@ impl PoissonConfig {
     }
 }
 
+/// The emulator's task: charge-density features in, one potential per
+/// mesh node out.
+const TASK: Task = Task {
+    features: TaskFeatures::Poisson,
+    readout: Readout::PerNode,
+    target: potential_targets,
+};
+
 /// A trained (or trainable) Poisson emulator.
 #[derive(Debug, Clone)]
 pub struct PoissonEmulator {
-    params: Params,
-    stack: RelGatStack,
-    head: Mlp,
+    core: DeviceGnn,
     config: PoissonConfig,
-    target_mean: f64,
-    target_std: f64,
-}
-
-/// One pre-encoded training item.
-pub struct EncodedDevice {
-    graph: GraphData,
-    src: Arc<Vec<usize>>,
-    dst: Arc<Vec<usize>>,
-    targets: Matrix,
-}
-
-impl EncodedDevice {
-    /// Encodes a sample for the Poisson task.
-    pub fn from_sample(sample: &DeviceSample) -> Self {
-        let graph = encode_device(sample, TaskFeatures::Poisson);
-        let (src, dst) = index_lists(&graph);
-        EncodedDevice {
-            graph,
-            src,
-            dst,
-            targets: potential_targets(sample),
-        }
-    }
 }
 
 impl PoissonEmulator {
@@ -103,30 +86,23 @@ impl PoissonEmulator {
 
     /// Builds an untrained emulator.
     pub fn new(config: PoissonConfig) -> Self {
-        let mut params = Params::new(config.seed);
-        let stack = RelGatStack::new(
-            &mut params,
-            NODE_DIM,
-            EDGE_DIM,
-            config.head_dim,
-            config.heads,
-            config.depth,
-        );
-        let hidden = stack.hidden_dim();
-        let head = Mlp::new(&mut params, &[hidden, hidden, 1], Activation::Elu);
+        let hidden = config.heads * config.head_dim;
         PoissonEmulator {
-            params,
-            stack,
-            head,
+            core: DeviceGnn::new(
+                TASK,
+                config.seed,
+                config.depth,
+                config.heads,
+                config.head_dim,
+                &[hidden],
+            ),
             config,
-            target_mean: 0.0,
-            target_std: 1.0,
         }
     }
 
     /// Total scalar parameter count (the paper quotes ≈1 M at full scale).
     pub fn parameter_count(&self) -> usize {
-        self.params.scalar_count()
+        self.core.parameter_count()
     }
 
     /// The configuration in use.
@@ -138,78 +114,21 @@ impl PoissonEmulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SurrogateError::BadDataset`] on an empty training set.
+    /// Returns [`crate::SurrogateError::BadDataset`] on an empty training
+    /// set.
     pub fn train(
         &mut self,
         train: &[DeviceSample],
         val: &[DeviceSample],
         train_config: &TrainConfig,
     ) -> Result<stco_nn::train::TrainHistory> {
-        if train.is_empty() {
-            return Err(SurrogateError::BadDataset {
-                context: "empty training set".into(),
-            });
-        }
-        // Standardize targets over the training set.
-        let all_psi: Vec<f64> = train
-            .iter()
-            .flat_map(|s| s.solution.psi.iter().copied())
-            .collect();
-        let (mean, std) = stats::mean_std(&all_psi)?;
-        self.target_mean = mean;
-        self.target_std = std.max(1e-9);
-
-        let encoded: Vec<EncodedDevice> = train.iter().map(EncodedDevice::from_sample).collect();
-        let val_encoded: Vec<EncodedDevice> = val.iter().map(EncodedDevice::from_sample).collect();
-
-        let mut adam = Adam::with_learning_rate(self.config.learning_rate);
-        let stack = self.stack.clone();
-        let head = self.head.clone();
-        let (t_mean, t_std) = (self.target_mean, self.target_std);
-        let history = fit(
-            &mut self.params,
-            train_config,
-            encoded.len(),
-            |batch, params| {
-                // Batch-accumulated SGD: samples run forward/backward in
-                // parallel, gradients merge deterministically, then one
-                // optimizer step per batch.
-                let loss =
-                    parallel_batch_step(ParConfig::current(), params, batch, |g, params, idx| {
-                        let item = &encoded[idx];
-                        let pred = forward_one(
-                            &stack,
-                            &head,
-                            params,
-                            &item.graph,
-                            &item.src,
-                            &item.dst,
-                            g,
-                        );
-                        let ti = g.input(standardized(&item.targets, t_mean, t_std));
-                        g.mse_loss(pred, ti)
-                    });
-                params.clip_grad_norm(5.0);
-                adam.step(params);
-                loss
-            },
-            Some(|params: &Params| {
-                if val_encoded.is_empty() {
-                    return 0.0;
-                }
-                let mut total = 0.0;
-                for item in &val_encoded {
-                    total += eval_item(&stack, &head, params, item, t_mean, t_std).0;
-                }
-                total / val_encoded.len() as f64
-            }),
-        );
-        Ok(history)
+        self.core
+            .train(train, val, train_config, self.config.learning_rate)
     }
 
     /// Predicts the potential map of one sample (volts).
     pub fn predict(&self, sample: &DeviceSample) -> Vec<f64> {
-        self.predict_graph(&encode_device(sample, TaskFeatures::Poisson))
+        self.core.predict(sample)
     }
 
     /// Predicts the potential map from an already-encoded device graph
@@ -217,42 +136,23 @@ impl PoissonEmulator {
     /// sample). Bitwise-identical to [`PoissonEmulator::predict`] on
     /// the sample the graph was encoded from.
     pub fn predict_graph(&self, graph: &GraphData) -> Vec<f64> {
-        let (src, dst) = index_lists(graph);
-        Graph::with_scratch(|g| {
-            let pred = forward_one(&self.stack, &self.head, &self.params, graph, &src, &dst, g);
-            g.value(pred)
-                .as_slice()
-                .iter()
-                .map(|v| v * self.target_std + self.target_mean)
-                .collect()
-        })
+        self.core.predict_graph(graph)
     }
 
     /// Serializes the trained model (weights + target normalization +
     /// architecture config) into a [`stco_store::Artifact`] of kind
     /// `"poisson-emulator"`.
     pub fn to_artifact(&self) -> stco_store::Artifact {
-        use stco_obs::json::JsonValue;
-        crate::artifact::pack_model(
+        let c = &self.config;
+        self.core.to_artifact(
             Self::ARTIFACT_KIND,
             vec![
-                ("depth".to_string(), crate::artifact::num(self.config.depth)),
-                ("heads".to_string(), crate::artifact::num(self.config.heads)),
-                (
-                    "head_dim".to_string(),
-                    crate::artifact::num(self.config.head_dim),
-                ),
-                (
-                    "learning_rate".to_string(),
-                    JsonValue::Num(self.config.learning_rate),
-                ),
-                (
-                    "seed".to_string(),
-                    JsonValue::Str(self.config.seed.to_string()),
-                ),
+                ("depth".to_string(), num(c.depth)),
+                ("heads".to_string(), num(c.heads)),
+                ("head_dim".to_string(), num(c.head_dim)),
+                ("learning_rate".to_string(), JsonValue::Num(c.learning_rate)),
+                ("seed".to_string(), JsonValue::Str(c.seed.to_string())),
             ],
-            &self.params,
-            Matrix::from_vec(1, 2, vec![self.target_mean, self.target_std]),
         )
     }
 
@@ -269,24 +169,16 @@ impl PoissonEmulator {
     pub fn from_artifact(
         artifact: &stco_store::Artifact,
     ) -> std::result::Result<Self, stco_store::StoreError> {
-        let (weights, norms) = crate::artifact::unpack_model(artifact, Self::ARTIFACT_KIND)?;
-        let config = PoissonConfig {
-            depth: crate::artifact::meta_usize(artifact, "depth")?,
-            heads: crate::artifact::meta_usize(artifact, "heads")?,
-            head_dim: crate::artifact::meta_usize(artifact, "head_dim")?,
+        // Kind first: another kind's meta need not carry these fields.
+        artifact.expect_kind(Self::ARTIFACT_KIND)?;
+        let mut model = PoissonEmulator::new(PoissonConfig {
+            depth: meta_usize(artifact, "depth")?,
+            heads: meta_usize(artifact, "heads")?,
+            head_dim: meta_usize(artifact, "head_dim")?,
             learning_rate: artifact.meta_f64("learning_rate")?,
             seed: artifact.meta_u64_str("seed")?,
-        };
-        let mut model = PoissonEmulator::new(config);
-        crate::artifact::import_weights(&mut model.params, weights)?;
-        let ns = norms.as_slice();
-        if ns.len() != 2 {
-            return Err(stco_store::StoreError::Header {
-                context: format!("poisson norm tensor has {} values, want 2", ns.len()),
-            });
-        }
-        model.target_mean = ns[0];
-        model.target_std = ns[1];
+        });
+        model.core.restore(artifact, Self::ARTIFACT_KIND)?;
         Ok(model)
     }
 
@@ -295,86 +187,10 @@ impl PoissonEmulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SurrogateError::BadDataset`] on an empty set.
+    /// Returns [`crate::SurrogateError::BadDataset`] on an empty set.
     pub fn evaluate(&self, samples: &[DeviceSample]) -> Result<RegressionMetrics> {
-        if samples.is_empty() {
-            return Err(SurrogateError::BadDataset {
-                context: "empty evaluation set".into(),
-            });
-        }
-        let mut preds = Vec::new();
-        let mut targets = Vec::new();
-        for s in samples {
-            let p = self.predict(s);
-            preds.extend(p.iter().map(|v| (v - self.target_mean) / self.target_std));
-            targets.extend(
-                s.solution
-                    .psi
-                    .iter()
-                    .map(|v| (v - self.target_mean) / self.target_std),
-            );
-        }
-        Ok(RegressionMetrics {
-            mse: stats::mse(&preds, &targets)?,
-            // R² is undefined for (near-)constant target sets, which tiny
-            // smoke-test splits can produce; report NaN rather than fail.
-            r_squared: stats::r_squared(&preds, &targets).unwrap_or(f64::NAN),
-            count: targets.len(),
-        })
+        self.core.evaluate(samples)
     }
-}
-
-fn eval_item(
-    stack: &RelGatStack,
-    head: &Mlp,
-    params: &Params,
-    item: &EncodedDevice,
-    t_mean: f64,
-    t_std: f64,
-) -> (f64, usize) {
-    Graph::with_scratch(|g| {
-        let pred = forward_one(stack, head, params, &item.graph, &item.src, &item.dst, g);
-        let ti = g.input(standardized(&item.targets, t_mean, t_std));
-        let loss = g.mse_loss(pred, ti);
-        (g.value(loss).get(0, 0), item.graph.num_nodes())
-    })
-}
-
-/// The RelGAT stack and MLP head over one encoded device graph, recorded
-/// on `g`: the one forward behind training, validation and prediction.
-fn forward_one(
-    stack: &RelGatStack,
-    head: &Mlp,
-    params: &Params,
-    graph: &GraphData,
-    src: &Arc<Vec<usize>>,
-    dst: &Arc<Vec<usize>>,
-    g: &mut Graph,
-) -> stco_nn::ad::NodeId {
-    let x = g.input(graph.node_features.clone());
-    let e = g.input(graph.edge_features.clone());
-    let h = stack.forward(g, params, x, e, src, dst, graph.num_nodes());
-    head.forward(g, params, h)
-}
-
-/// Potential targets in the standardized units the model is trained on.
-fn standardized(targets: &Matrix, mean: f64, std: f64) -> Matrix {
-    let mut t = targets.clone();
-    for v in t.as_mut_slice() {
-        *v = (*v - mean) / std;
-    }
-    t
-}
-
-/// MSE/R² pair over a dataset (normalized-target units, as Table II).
-#[derive(Debug, Clone, Copy)]
-pub struct RegressionMetrics {
-    /// Mean squared error on standardized targets.
-    pub mse: f64,
-    /// Coefficient of determination.
-    pub r_squared: f64,
-    /// Number of scalar predictions evaluated.
-    pub count: usize,
 }
 
 #[cfg(test)]
