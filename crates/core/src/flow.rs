@@ -19,6 +19,7 @@ use stco_compact::extract::{extract_parameters, TransferCurve};
 use stco_compact::tech::{Corner, TechnologyCard};
 use stco_numerics::interp::Bilinear;
 use stco_surrogate::cell_model::{metric_index, CellModel};
+use stco_surrogate::encoding::{encode_device, write_self_consistent, TaskFeatures};
 use stco_surrogate::iv_predictor::IvPredictor;
 use stco_surrogate::poisson_emulator::PoissonEmulator;
 use stco_system::bench_gen::Benchmark;
@@ -378,9 +379,12 @@ pub fn fast_device_solution(
         current: 0.0,
     };
     // A few fixed-point sweeps: predict ψ from the charge features, then
-    // refresh the charge from the predicted ψ.
-    for _ in 0..3 {
-        let mut predicted = poisson.predict(&sample);
+    // refresh the charge from the predicted ψ. The device is encoded once;
+    // later sweeps only rewrite the charge slot of that graph.
+    const SWEEPS: usize = 3;
+    let mut graph = encode_device(&sample, TaskFeatures::Poisson);
+    for sweep in 0..SWEEPS {
+        let mut predicted = poisson.predict_graph(&graph);
         // Keep electrodes pinned exactly.
         for (i, p) in predicted.iter_mut().enumerate() {
             if let Some(pd) = device.dirichlet_potential(i, bias) {
@@ -388,6 +392,9 @@ pub fn fast_device_solution(
             }
         }
         sample.solution = derived_solution(&device, bias, predicted);
+        if sweep + 1 < SWEEPS {
+            write_self_consistent(&mut graph, &sample.solution, TaskFeatures::Poisson);
+        }
     }
     Ok(sample)
 }

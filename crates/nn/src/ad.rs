@@ -13,7 +13,6 @@
 //! [`Graph::spmm`] for GCN-style normalized-adjacency aggregation. Every
 //! adjoint is verified against central finite differences in the tests.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use stco_numerics::{CsrMatrix, Dense, Matrix, Scalar};
@@ -185,11 +184,6 @@ impl std::fmt::Debug for Graph {
     }
 }
 
-thread_local! {
-    /// Per-thread recycled tape backing [`Graph::with_scratch`].
-    static SCRATCH_TAPE: RefCell<Graph> = RefCell::new(Graph::new());
-}
-
 impl Graph {
     /// Creates an empty tape.
     pub fn new() -> Self {
@@ -215,35 +209,6 @@ impl Graph {
     /// list (diagnostic; see [`Graph::reset`]).
     pub fn free_buffers(&self) -> usize {
         self.pool.len()
-    }
-
-    /// Runs `f` on a thread-local recycled tape.
-    ///
-    /// Serves one-shot tape forwards — the RelGAT device surrogates'
-    /// predictions and validation passes, all recorded by the one shared
-    /// device-surrogate forward in `stco-surrogate` — that would
-    /// otherwise construct and drop a fresh `Graph` each time: they lease
-    /// their value buffers from a per-thread pool that persists across
-    /// calls, and the pool holds only leased buffers, so it stays bounded
-    /// by the largest forward a thread has run. (Models built
-    /// from [`crate::layers::Linear`], [`crate::layers::Mlp`] and
-    /// [`crate::gnn::GcnLayer`] infer without a tape, through their
-    /// `infer` methods.) The tape is
-    /// [`Graph::reset`] before `f` runs, so node indices start from zero
-    /// while warmed buffers are reused; results are bitwise-identical to
-    /// a fresh graph (leases are zeroed, and the free list is an
-    /// order-deterministic `BTreeMap` keyed by shape). Thread-locality
-    /// keeps the stco-par determinism contract intact: each worker warms
-    /// its own pool and no state crosses threads. Falls back to a fresh
-    /// tape under re-entrancy rather than panicking.
-    pub fn with_scratch<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
-        SCRATCH_TAPE.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut g) => {
-                g.reset();
-                f(&mut g)
-            }
-            Err(_) => f(&mut Graph::new()),
-        })
     }
 
     /// Number of nodes recorded so far.
@@ -417,24 +382,15 @@ impl Graph {
     ///
     /// Panics if gamma/beta are not `1×d` row vectors matching `x`.
     pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId) -> NodeId {
-        let eps = 1e-5;
+        let eps = LAYER_NORM_EPS;
         let xv = &self.nodes[x.0].value;
-        let gv = &self.nodes[gamma.0].value;
-        let bv = &self.nodes[beta.0].value;
-        let d = xv.cols();
-        assert_eq!((gv.rows(), gv.cols()), (1, d), "gamma must be 1×d");
-        assert_eq!((bv.rows(), bv.cols()), (1, d), "beta must be 1×d");
-        let mut out = self.pool.lease_zeroed(xv.rows(), d);
-        for i in 0..xv.rows() {
-            let row = xv.row(i);
-            let mean = row.iter().sum::<f64>() / d as f64;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d as f64;
-            let inv = 1.0 / (var + eps).sqrt();
-            for (j, &xj) in row.iter().enumerate().take(d) {
-                let xhat = (xj - mean) * inv;
-                out.set(i, j, xhat * gv.get(0, j) + bv.get(0, j));
-            }
-        }
+        let mut out = self.pool.lease_zeroed(xv.rows(), xv.cols());
+        layer_norm_forward(
+            xv,
+            &self.nodes[gamma.0].value,
+            &self.nodes[beta.0].value,
+            &mut out,
+        );
         self.push(
             out,
             Op::LayerNorm {
@@ -515,7 +471,7 @@ impl Graph {
         assert_eq!(xv.cols(), 1, "segment softmax expects a column vector");
         assert_eq!(seg.len(), xv.rows(), "one segment id per row");
         let mut out = self.pool.lease_zeroed(seg.len(), 1);
-        segment_softmax_forward(xv, &seg, n_seg, &mut out);
+        segment_softmax_forward(xv.as_slice(), &seg, n_seg, out.as_mut_slice());
         self.push(out, Op::SegmentSoftmax { x, seg, n_seg })
     }
 
@@ -567,14 +523,7 @@ impl Graph {
     pub fn mse_loss(&mut self, pred: NodeId, target: NodeId) -> NodeId {
         let (pv, tv) = (self.value(pred), self.value(target));
         assert_eq!((pv.rows(), pv.cols()), (tv.rows(), tv.cols()));
-        let n = (pv.rows() * pv.cols()) as f64;
-        let loss = pv
-            .as_slice()
-            .iter()
-            .zip(tv.as_slice())
-            .map(|(p, t)| (p - t) * (p - t))
-            .sum::<f64>()
-            / n;
+        let loss = mse_forward(pv.as_slice(), tv.as_slice());
         let mut out = self.pool.lease_zeroed(1, 1);
         out.set(0, 0, loss);
         self.push(out, Op::MseLoss(pred, target))
@@ -932,28 +881,84 @@ impl Graph {
     }
 }
 
-fn segment_softmax_forward(x: &Matrix, seg: &[usize], n_seg: usize, out: &mut Matrix) {
-    let mut seg_max = vec![f64::NEG_INFINITY; n_seg];
-    for (r, &s) in seg.iter().enumerate() {
-        assert!(s < n_seg, "segment id {s} out of {n_seg}");
-        seg_max[s] = seg_max[s].max(x.get(r, 0));
-    }
-    let mut seg_sum = vec![0.0; n_seg];
-    let mut exps = vec![0.0; seg.len()];
-    for (r, &s) in seg.iter().enumerate() {
-        let e = (x.get(r, 0) - seg_max[s]).exp();
-        exps[r] = e;
-        seg_sum[s] += e;
-    }
-    for (r, &s) in seg.iter().enumerate() {
-        out.set(r, 0, exps[r] / seg_sum[s].max(1e-300));
-    }
-}
+/// Variance epsilon of [`Graph::layer_norm`].
+const LAYER_NORM_EPS: f64 = 1e-5;
 
 // Forward loops shared by the tape ops above and the tape-free inference
 // methods of `crate::layers` and `crate::gnn`: one loop per op, so an f64
-// inference pass reproduces the tape's bits by construction. Each is
-// generic over the precision; weights and activations may be `f32`.
+// inference pass reproduces the tape's bits by construction. The dense
+// ones are generic over the precision (weights and activations may be
+// `f32`); the RelGAT ones run in `f64` only.
+
+/// Numerically-stable softmax of the scores `x` over entries sharing a
+/// segment id, into `out`. Segments with no entries are skipped.
+///
+/// # Panics
+///
+/// Panics if a segment id is out of range or the lengths disagree.
+pub(crate) fn segment_softmax_forward(x: &[f64], seg: &[usize], n_seg: usize, out: &mut [f64]) {
+    assert_eq!(x.len(), seg.len(), "one segment id per score");
+    assert_eq!(out.len(), seg.len(), "one output per score");
+    let mut seg_max = vec![f64::NEG_INFINITY; n_seg];
+    for (&v, &s) in x.iter().zip(seg) {
+        assert!(s < n_seg, "segment id {s} out of {n_seg}");
+        seg_max[s] = seg_max[s].max(v);
+    }
+    let mut seg_sum = vec![0.0; n_seg];
+    for ((o, &v), &s) in out.iter_mut().zip(x).zip(seg) {
+        let e = (v - seg_max[s]).exp();
+        *o = e;
+        seg_sum[s] += e;
+    }
+    for (o, &s) in out.iter_mut().zip(seg) {
+        *o /= seg_sum[s].max(1e-300);
+    }
+}
+
+/// Per-row layer normalization of `x` with gain `gamma` and shift `beta`
+/// (`[1×d]` each), into `out`.
+///
+/// # Panics
+///
+/// Panics if gamma/beta are not `1×d` row vectors matching `x`.
+// stco-hot
+pub(crate) fn layer_norm_forward(x: &Matrix, gamma: &Matrix, beta: &Matrix, out: &mut Matrix) {
+    let d = x.cols();
+    assert_eq!((gamma.rows(), gamma.cols()), (1, d), "gamma must be 1×d");
+    assert_eq!((beta.rows(), beta.cols()), (1, d), "beta must be 1×d");
+    for i in 0..x.rows() {
+        let row = x.row(i);
+        let mean = row.iter().sum::<f64>() / d as f64;
+        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d as f64;
+        let inv = 1.0 / (var + LAYER_NORM_EPS).sqrt();
+        for (((o, &xj), &g), &b) in out
+            .row_mut(i)
+            .iter_mut()
+            .zip(row)
+            .zip(gamma.row(0))
+            .zip(beta.row(0))
+        {
+            let xhat = (xj - mean) * inv;
+            *o = xhat * g + b;
+        }
+    }
+}
+
+/// Mean squared error between equal-length `pred` and `target`: the
+/// loop behind [`Graph::mse_loss`], for losses evaluated without a tape.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn mse_forward(pred: &[f64], target: &[f64]) -> f64 {
+    assert_eq!(pred.len(), target.len(), "mse operands differ in length");
+    let n = pred.len() as f64;
+    pred.iter()
+        .zip(target)
+        .map(|(p, t)| (p - t) * (p - t))
+        .sum::<f64>()
+        / n
+}
 
 /// Adds the `[1×d]` row `b` to every row of `x`.
 ///
@@ -967,6 +972,71 @@ pub(crate) fn add_row_broadcast_forward<T: Scalar>(x: &mut Dense<T>, b: &Dense<T
     for i in 0..x.rows() {
         for (o, &bv) in x.row_mut(i).iter_mut().zip(b.row(0)) {
             *o += bv;
+        }
+    }
+}
+
+/// Output columns [`linear_forward`] holds in registers per row.
+const LINEAR_LANES: usize = 8;
+
+/// `out = x·W + b` into the zeroed `out`: the tape's matmul and bias add.
+///
+/// Outputs wider than `2 · LINEAR_LANES` run [`Dense::gemm_into`] and
+/// then the bias loop. Narrower ones — the RelGAT projections, whose
+/// edge projection has `k = 3` — run a row kernel that sums each output
+/// in registers from zero in ascending `k` and adds the bias last: the
+/// same rounded op sequence per element as the GEMM contract, so the
+/// bits do not depend on the path.
+///
+/// # Panics
+///
+/// Panics if the shapes disagree.
+// stco-hot
+pub(crate) fn linear_forward<T: Scalar>(
+    x: &Dense<T>,
+    w: &Dense<T>,
+    b: &Dense<T>,
+    out: &mut Dense<T>,
+) {
+    let n = w.cols();
+    if n > 2 * LINEAR_LANES {
+        x.gemm_into(w, out);
+        add_row_broadcast_forward(out, b);
+        return;
+    }
+    assert_eq!(x.cols(), w.rows(), "linear shape mismatch");
+    assert_eq!(
+        (out.rows(), out.cols()),
+        (x.rows(), n),
+        "linear output shape"
+    );
+    assert_eq!((b.rows(), b.cols()), (1, n), "bias must be 1×n");
+    let (ws, bs) = (w.as_slice(), b.row(0));
+    let lanes_end = n - n % LINEAR_LANES;
+    for c0 in (0..lanes_end).step_by(LINEAR_LANES) {
+        let mut bias = [T::default(); LINEAR_LANES];
+        bias.copy_from_slice(&bs[c0..c0 + LINEAR_LANES]);
+        for i in 0..x.rows() {
+            let mut acc = [T::default(); LINEAR_LANES];
+            for (&xv, wrow) in x.row(i).iter().zip(ws.chunks_exact(n)) {
+                let wrow = &wrow[c0..c0 + LINEAR_LANES];
+                for l in 0..LINEAR_LANES {
+                    acc[l] += xv * wrow[l];
+                }
+            }
+            let orow = &mut out.row_mut(i)[c0..c0 + LINEAR_LANES];
+            for l in 0..LINEAR_LANES {
+                orow[l] = acc[l] + bias[l];
+            }
+        }
+    }
+    for c in lanes_end..n {
+        for i in 0..x.rows() {
+            let mut acc = T::default();
+            for (&xv, wrow) in x.row(i).iter().zip(ws.chunks_exact(n)) {
+                acc += xv * wrow[c];
+            }
+            out.row_mut(i)[c] = acc + bs[c];
         }
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use stco_numerics::{CsrMatrix, Dense, Matrix, Scalar};
 
-use crate::ad::{spmm_forward, Graph, NodeId};
+use crate::ad::{segment_softmax_forward, spmm_forward, Graph, NodeId};
 use crate::layers::{Activation, LayerNorm, Linear};
 use crate::Params;
 
@@ -72,85 +72,72 @@ impl GraphData {
     /// Symmetrically-normalized adjacency with self-loops,
     /// `D^{-1/2}(A+I)D^{-1/2}`, the GCN propagation operator.
     pub fn normalized_adjacency(&self) -> CsrMatrix {
-        let n = self.num_nodes();
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(self.edges.len() + n);
+        block_normalized_adjacency([(self.num_nodes(), self.edges.as_slice())])
+    }
+}
+
+/// The normalized adjacency of a disjoint union of graphs, each given as
+/// `(num_nodes, edges)`: the block-diagonal stack of every graph's
+/// [`GraphData::normalized_adjacency`], assembled block by block.
+///
+/// Each edge `(s, d)` stamps entry `(d, s)`; every node without a
+/// self-loop gets one; a row's degree counts its stamps, duplicates
+/// included, and a duplicated entry is the sum of its equal stamps
+/// `1/(√deg_d·√deg_s)`, added in turn.
+///
+/// # Panics
+///
+/// Panics if an edge endpoint is out of its graph's node range.
+pub fn block_normalized_adjacency<'a>(
+    graphs: impl IntoIterator<Item = (usize, &'a [(usize, usize)])>,
+) -> CsrMatrix {
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    let mut offset = 0;
+    for (n, edges) in graphs {
+        // Count the stamps per row, bucket their columns, sort each row.
         let mut has_self = vec![false; n];
-        for &(s, d) in &self.edges {
-            if s == d {
-                has_self[s] = true;
-            }
-            triplets.push((d, s, 1.0));
+        let mut start = vec![0usize; n + 1];
+        for &(s, d) in edges {
+            assert!(s < n && d < n, "edge ({s},{d}) out of {n} nodes");
+            has_self[s] |= s == d;
+            start[d + 1] += 1;
         }
         for (i, &h) in has_self.iter().enumerate() {
-            if !h {
-                triplets.push((i, i, 1.0));
-            }
+            start[i + 1] += usize::from(!h);
         }
-        // Degree of the (A+I) matrix per row.
-        let mut deg = vec![0.0_f64; n];
-        for &(r, _, _) in &triplets {
-            deg[r] += 1.0;
+        for i in 0..n {
+            start[i + 1] += start[i];
         }
-        let normalized: Vec<(usize, usize, f64)> = triplets
-            .into_iter()
-            .map(|(r, c, v)| (r, c, v / (deg[r].sqrt() * deg[c].sqrt())))
+        let mut next = start.clone();
+        let mut cols = vec![0usize; start[n]];
+        let stamps = edges.iter().map(|&(s, d)| (d, s));
+        let loops = (0..n).filter(|&i| !has_self[i]).map(|i| (i, i));
+        for (r, c) in stamps.chain(loops) {
+            cols[next[r]] = c;
+            next[r] += 1;
+        }
+        let sqrt_deg: Vec<f64> = start
+            .windows(2)
+            .map(|w| ((w[1] - w[0]) as f64).sqrt())
             .collect();
-        CsrMatrix::from_triplets(n, n, &normalized)
-    }
-}
-
-/// A batch of graphs merged into one disjoint union, with per-node graph
-/// ids for segment-pooled readout.
-#[derive(Debug, Clone)]
-pub struct GraphBatch {
-    /// The merged graph.
-    pub merged: GraphData,
-    /// Graph id of every node in the union.
-    pub node_graph_ids: Arc<Vec<usize>>,
-    /// Number of graphs in the batch.
-    pub num_graphs: usize,
-}
-
-impl GraphBatch {
-    /// Merges graphs into a disjoint union (node indices offset per graph).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graphs` is empty or feature widths disagree.
-    pub fn from_graphs(graphs: &[&GraphData]) -> Self {
-        assert!(!graphs.is_empty(), "cannot batch zero graphs");
-        let nd = graphs[0].node_features.cols();
-        let ed = graphs[0].edge_features.cols();
-        let mut node_data = Vec::new();
-        let mut edge_data = Vec::new();
-        let mut edges = Vec::new();
-        let mut ids = Vec::new();
-        let mut offset = 0;
-        for (gi, g) in graphs.iter().enumerate() {
-            assert_eq!(g.node_features.cols(), nd, "node feature width mismatch");
-            assert_eq!(g.edge_features.cols(), ed, "edge feature width mismatch");
-            node_data.extend_from_slice(g.node_features.as_slice());
-            edge_data.extend_from_slice(g.edge_features.as_slice());
-            for &(s, d) in &g.edges {
-                edges.push((s + offset, d + offset));
+        for r in 0..n {
+            let row = &mut cols[start[r]..start[r + 1]];
+            row.sort_unstable();
+            for (k, &c) in row.iter().enumerate() {
+                let v = 1.0 / (sqrt_deg[r] * sqrt_deg[c]);
+                if k > 0 && row[k - 1] == c {
+                    let last = values.len() - 1;
+                    values[last] += v;
+                } else {
+                    col_idx.push(c + offset);
+                    values.push(v);
+                }
             }
-            ids.extend(std::iter::repeat_n(gi, g.num_nodes()));
-            offset += g.num_nodes();
+            row_ptr.push(values.len());
         }
-        GraphBatch {
-            merged: GraphData {
-                node_features: Matrix::from_vec(offset, nd, node_data),
-                edges,
-                edge_features: Matrix::from_vec(
-                    graphs.iter().map(|g| g.num_edges()).sum(),
-                    ed,
-                    edge_data,
-                ),
-            },
-            node_graph_ids: Arc::new(ids),
-            num_graphs: graphs.len(),
-        }
+        offset += n;
     }
+    CsrMatrix::from_parts(offset, offset, row_ptr, col_idx, values)
 }
 
 /// One graph-convolution layer: `H' = σ(Â·H·W + b)` with
@@ -288,7 +275,7 @@ impl RelGatLayer {
             let hd = g.gather_rows(h, Arc::clone(dst)); // [M × dh]
             let cat = g.concat_cols(&[hd, hs, he]); // [M × 3dh]
             let scores = head.attn.forward(g, params, cat); // [M × 1]
-            let scores = g.leaky_relu(scores, 0.2);
+            let scores = Activation::LeakyRelu.apply(g, scores);
             let alpha = g.segment_softmax(scores, Arc::clone(dst), num_nodes);
             let msg = g.add(hs, he); // neighbor + edge message
             let weighted = g.mul_col_broadcast(msg, alpha);
@@ -301,6 +288,124 @@ impl RelGatLayer {
             g.concat_cols(&outs)
         };
         self.activation.apply(g, merged)
+    }
+
+    /// One attention step tape-free (see [`Linear::infer`] for
+    /// `weights`; the node count is `x.rows()`); it equals
+    /// [`RelGatLayer::forward`] bit for bit.
+    ///
+    /// Each head runs two fused per-edge loops instead of the tape's
+    /// gathers, concatenation, score GEMM and scatter:
+    /// `attention_scores` and `attention_aggregate` read the node and
+    /// edge projections in place and keep every sum in the tape's order.
+    pub fn infer(
+        &self,
+        weights: &[Matrix],
+        x: &Matrix,
+        edge_feats: &Matrix,
+        src: &[usize],
+        dst: &[usize],
+    ) -> Matrix {
+        let n = x.rows();
+        let head_dim = self.out_dim / self.heads.len();
+        let mut out = Matrix::zeros(n, self.out_dim);
+        let mut dst_part = vec![0.0; n];
+        let mut scores = vec![0.0; src.len()];
+        let mut alpha = vec![0.0; src.len()];
+        for (k, head) in self.heads.iter().enumerate() {
+            let h = head.w.infer(weights, x);
+            let he = head.we.infer(weights, edge_feats);
+            let (a, b) = head.attn.weights(weights);
+            let attn = (a.as_slice(), b.get(0, 0));
+            attention_scores(&h, &he, attn, src, dst, &mut dst_part, &mut scores);
+            Activation::LeakyRelu.apply_in_place(&mut scores);
+            segment_softmax_forward(&scores, dst, n, &mut alpha);
+            attention_aggregate(&h, &he, &alpha, src, dst, &mut out, k * head_dim);
+        }
+        self.activation.apply_in_place(out.as_mut_slice());
+        out
+    }
+}
+
+/// Edges whose attention logits [`attention_scores`] sums side by side.
+const SCORE_LANES: usize = 4;
+
+/// Attention logits of one head before the LeakyReLU,
+/// `aᵀ[h_dst ‖ h_src ‖ he_k] + b` for every edge `k`, into `scores`;
+/// `attn` is `(a, b)`, the `3·head_dim` attention column and its bias.
+///
+/// The dot product runs in the tape's order — dst part, src part, edge
+/// part, then the bias — so each logit equals the tape's concat-and-GEMM
+/// bit for bit. The dst part is a prefix of that sum and depends only on
+/// the destination, so it is computed once per node into `dst_part`;
+/// edges then run [`SCORE_LANES`] at a time, whose independent sums
+/// overlap instead of waiting on one add chain.
+// stco-hot
+fn attention_scores(
+    h: &Matrix,
+    he: &Matrix,
+    (a, b): (&[f64], f64),
+    src: &[usize],
+    dst: &[usize],
+    dst_part: &mut [f64],
+    scores: &mut [f64],
+) {
+    let head_dim = h.cols();
+    let (a_dst, a_rest) = a.split_at(head_dim);
+    let (a_src, a_edge) = a_rest.split_at(head_dim);
+    let dot = |mut acc: f64, x: &[f64], w: &[f64]| {
+        for (&xv, &wv) in x.iter().zip(w) {
+            acc += xv * wv;
+        }
+        acc
+    };
+    for (i, p) in dst_part.iter_mut().enumerate() {
+        *p = dot(0.0, h.row(i), a_dst);
+    }
+    let full = src.len() - src.len() % SCORE_LANES;
+    for k in (0..full).step_by(SCORE_LANES) {
+        let mut acc: [f64; SCORE_LANES] = std::array::from_fn(|l| dst_part[dst[k + l]]);
+        let hs: [&[f64]; SCORE_LANES] = std::array::from_fn(|l| h.row(src[k + l]));
+        let he_k: [&[f64]; SCORE_LANES] = std::array::from_fn(|l| he.row(k + l));
+        for (j, &w) in a_src.iter().enumerate() {
+            for (acc, row) in acc.iter_mut().zip(&hs) {
+                *acc += row[j] * w;
+            }
+        }
+        for (j, &w) in a_edge.iter().enumerate() {
+            for (acc, row) in acc.iter_mut().zip(&he_k) {
+                *acc += row[j] * w;
+            }
+        }
+        for (o, acc) in scores[k..k + SCORE_LANES].iter_mut().zip(acc) {
+            *o = acc + b;
+        }
+    }
+    for k in full..src.len() {
+        let acc = dot(dst_part[dst[k]], h.row(src[k]), a_src);
+        scores[k] = dot(acc, he.row(k), a_edge) + b;
+    }
+}
+
+/// Scatters each edge's message `(h_src + he_k)·α_k` into row `dst` of
+/// `out`, columns `col0..col0 + head_dim`, in edge order: the tape's
+/// add, column broadcast and scatter-add in one pass, bit for bit.
+// stco-hot
+fn attention_aggregate(
+    h: &Matrix,
+    he: &Matrix,
+    alpha: &[f64],
+    src: &[usize],
+    dst: &[usize],
+    out: &mut Matrix,
+    col0: usize,
+) {
+    let head_dim = h.cols();
+    for (k, ((&s, &d), &a)) in src.iter().zip(dst).zip(alpha).enumerate() {
+        let row = &mut out.row_mut(d)[col0..col0 + head_dim];
+        for ((o, &hv), &ev) in row.iter_mut().zip(h.row(s)).zip(he.row(k)) {
+            *o += (hv + ev) * a;
+        }
     }
 }
 
@@ -377,6 +482,28 @@ impl RelGatStack {
         }
         h
     }
+
+    /// The full stack tape-free (see [`RelGatLayer::infer`]); it equals
+    /// [`RelGatStack::forward`] bit for bit.
+    pub fn infer(
+        &self,
+        weights: &[Matrix],
+        node_feats: &Matrix,
+        edge_feats: &Matrix,
+        src: &[usize],
+        dst: &[usize],
+    ) -> Matrix {
+        let mut h = self.input_proj.infer(weights, node_feats);
+        for (layer, norm) in self.layers.iter().zip(&self.norms) {
+            // The residual `h + GAT(h)`; IEEE addition commutes bitwise.
+            let mut res = layer.infer(weights, &h, edge_feats, src, dst);
+            for (r, &hv) in res.as_mut_slice().iter_mut().zip(h.as_slice()) {
+                *r += hv;
+            }
+            h = norm.infer(weights, &res);
+        }
+        h
+    }
 }
 
 /// Splits an edge list into the `(src, dst)` index vectors the attention
@@ -414,6 +541,109 @@ mod tests {
         g.add_self_loops();
         g.assert_consistent();
         g
+    }
+
+    /// A graph whose node 4 has out-edges but no in-edges, so its
+    /// softmax segment is empty and its aggregate stays zero.
+    fn graph_with_source_only_node(seed: u64) -> GraphData {
+        let mut rng = Xorshift::new(seed);
+        let edges = vec![
+            (0, 1),
+            (1, 0),
+            (4, 2),
+            (2, 3),
+            (3, 2),
+            (4, 0),
+            (1, 1),
+            (2, 2),
+        ];
+        let random =
+            |rng: &mut Xorshift, n: usize| (0..n).map(|_| rng.uniform_in(-2.0, 2.0)).collect();
+        let node_features = Matrix::from_vec(5, 3, random(&mut rng, 15));
+        let edge_features = Matrix::from_vec(edges.len(), 2, random(&mut rng, 2 * edges.len()));
+        GraphData {
+            node_features,
+            edges,
+            edge_features,
+        }
+    }
+
+    /// Overwrites every weight and bias with random values, so the
+    /// oracle checks exercise the bias adds and LayerNorm shifts too.
+    fn randomize(params: &mut Params, seed: u64) {
+        let mut rng = Xorshift::new(seed);
+        for id in crate::param_ids(params).collect::<Vec<_>>() {
+            for v in params.value_mut(id).as_mut_slice() {
+                *v = rng.uniform_in(-1.0, 1.0);
+            }
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn relgat_layer_infer_matches_tape_bitwise() {
+        for (graph, heads) in [
+            (ring_graph(9, 3, 2, 12), 1),
+            (ring_graph(9, 3, 2, 13), 2),
+            (graph_with_source_only_node(14), 1),
+            (graph_with_source_only_node(15), 2),
+        ] {
+            let (src, dst) = edge_index_lists(&graph.edges);
+            let n = graph.num_nodes();
+            let mut params = Params::new(16);
+            let layer = RelGatLayer::new(&mut params, 3, 2, 5, heads, Activation::Elu);
+            randomize(&mut params, 17 + heads as u64);
+            let mut g = Graph::new();
+            let x = g.input(graph.node_features.clone());
+            let e = g.input(graph.edge_features.clone());
+            let y = layer.forward(&mut g, &params, x, e, &src, &dst, n);
+            let inferred = layer.infer(
+                params.values(),
+                &graph.node_features,
+                &graph.edge_features,
+                &src,
+                &dst,
+            );
+            assert_eq!(
+                bits(&inferred),
+                bits(g.value(y)),
+                "{heads} heads, {n} nodes"
+            );
+        }
+    }
+
+    #[test]
+    fn relgat_stack_and_layer_norm_infer_match_tape_bitwise() {
+        for (graph, heads) in [
+            (ring_graph(11, 3, 2, 20), 1),
+            (graph_with_source_only_node(21), 2),
+        ] {
+            let (src, dst) = edge_index_lists(&graph.edges);
+            let n = graph.num_nodes();
+            let mut params = Params::new(22);
+            let stack = RelGatStack::new(&mut params, 3, 2, 4, heads, 3);
+            let norm = LayerNorm::new(&mut params, 3);
+            randomize(&mut params, 23);
+            let mut g = Graph::new();
+            let x = g.input(graph.node_features.clone());
+            let e = g.input(graph.edge_features.clone());
+            let h = stack.forward(&mut g, &params, x, e, &src, &dst, n);
+            let normed = norm.forward(&mut g, &params, x);
+            let weights = params.values();
+            let inferred = stack.infer(
+                weights,
+                &graph.node_features,
+                &graph.edge_features,
+                &src,
+                &dst,
+            );
+            assert_eq!(bits(&inferred), bits(g.value(h)), "stack, {heads} heads");
+            let inferred = norm.infer(weights, &graph.node_features);
+            assert_eq!(bits(&inferred), bits(g.value(normed)), "layer norm");
+        }
     }
 
     #[test]
@@ -525,20 +755,37 @@ mod tests {
         assert!(last < 0.02, "RelGAT failed to fit neighbor mean: {last}");
     }
 
+    /// The block assembly equals the triplet construction of the whole
+    /// union — degrees, self-loops and summed duplicate edges included.
     #[test]
-    fn batch_merges_disjointly() {
+    fn block_adjacency_equals_union_triplet_adjacency() {
         let a = ring_graph(3, 2, 1, 8);
-        let b = ring_graph(4, 2, 1, 9);
-        let batch = GraphBatch::from_graphs(&[&a, &b]);
-        assert_eq!(batch.merged.num_nodes(), 7);
-        assert_eq!(batch.merged.num_edges(), a.num_edges() + b.num_edges());
-        assert_eq!(batch.num_graphs, 2);
-        // Edges from graph b must point at nodes ≥ 3.
-        for &(s, d) in &batch.merged.edges[a.num_edges()..] {
-            assert!(s >= 3 && d >= 3);
+        let mut b = ring_graph(4, 2, 1, 9);
+        b.edges.push((0, 1)); // a duplicate edge
+        b.edges.retain(|&(s, d)| (s, d) != (2, 2)); // a node without a self-loop
+        let union: Vec<(usize, usize)> = a
+            .edges
+            .iter()
+            .copied()
+            .chain(b.edges.iter().map(|&(s, d)| (s + 3, d + 3)))
+            .collect();
+        let mut triplets: Vec<(usize, usize, f64)> =
+            union.iter().map(|&(s, d)| (d, s, 1.0)).collect();
+        for i in 0..7 {
+            if !union.contains(&(i, i)) {
+                triplets.push((i, i, 1.0));
+            }
         }
-        assert_eq!(batch.node_graph_ids.as_ref(), &vec![0, 0, 0, 1, 1, 1, 1]);
-        batch.merged.assert_consistent();
+        let mut deg = [0.0_f64; 7];
+        for &(r, _, _) in &triplets {
+            deg[r] += 1.0;
+        }
+        for t in &mut triplets {
+            t.2 /= deg[t.0].sqrt() * deg[t.1].sqrt();
+        }
+        let expected = CsrMatrix::from_triplets(7, 7, &triplets);
+        let blocks = block_normalized_adjacency([(3, a.edges.as_slice()), (4, b.edges.as_slice())]);
+        assert_eq!(blocks, expected);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Dense layers: [`Linear`], [`Mlp`] and [`LayerNorm`], composed by the
 //! GNN models in [`crate::gnn`].
 
-use stco_numerics::{Dense, Scalar};
+use stco_numerics::{Dense, Matrix, Scalar};
 
 use crate::ad::{
-    add_row_broadcast_forward, elu_forward, leaky_relu_forward, relu_forward, sigmoid_forward,
-    tanh_forward, Graph, NodeId,
+    elu_forward, layer_norm_forward, leaky_relu_forward, linear_forward, relu_forward,
+    sigmoid_forward, tanh_forward, Graph, NodeId,
 };
 use crate::{ParamId, Params};
 
@@ -105,6 +105,15 @@ impl Linear {
         self.out_dim
     }
 
+    /// The weight and bias of this layer in `weights` (see
+    /// [`Linear::infer`]).
+    pub(crate) fn weights<'w, T: Scalar>(
+        &self,
+        weights: &'w [Dense<T>],
+    ) -> (&'w Dense<T>, &'w Dense<T>) {
+        (&weights[self.weight.0], &weights[self.bias.0])
+    }
+
     /// Records `x·W + b` on the tape.
     pub fn forward(&self, g: &mut Graph, params: &Params, x: NodeId) -> NodeId {
         let w = g.param(params, self.weight);
@@ -115,14 +124,14 @@ impl Linear {
 
     /// Computes `x·W + b` tape-free, reading `W` and `b` in place from
     /// `weights`: the model's tensors in canonical order, i.e.
-    /// [`Params::values`] or a narrowed copy of it. The GEMM and bias
-    /// loops are the tape's own, so in `f64` the result equals
+    /// [`Params::values`] or a narrowed copy of it. Each output element
+    /// is summed in the tape's GEMM order and then biased (see
+    /// `linear_forward`), so in `f64` the result equals
     /// [`Linear::forward`] bit for bit.
     pub fn infer<T: Scalar>(&self, weights: &[Dense<T>], x: &Dense<T>) -> Dense<T> {
-        let w = &weights[self.weight.0];
+        let (w, b) = self.weights(weights);
         let mut out = Dense::zeros(x.rows(), w.cols());
-        x.gemm_into(w, &mut out);
-        add_row_broadcast_forward(&mut out, &weights[self.bias.0]);
+        linear_forward(x, w, b, &mut out);
         out
     }
 }
@@ -151,6 +160,14 @@ impl LayerNorm {
         let gamma = g.param(params, self.gamma);
         let beta = g.param(params, self.beta);
         g.layer_norm(x, gamma, beta)
+    }
+
+    /// The normalization tape-free (see [`Linear::infer`] for `weights`);
+    /// it equals [`LayerNorm::forward`] bit for bit.
+    pub fn infer(&self, weights: &[Matrix], x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), x.cols());
+        layer_norm_forward(x, &weights[self.gamma.0], &weights[self.beta.0], &mut out);
+        out
     }
 }
 
@@ -211,7 +228,6 @@ mod tests {
     use super::*;
     use crate::optim::Adam;
     use stco_numerics::rng::Xorshift;
-    use stco_numerics::Matrix;
 
     #[test]
     fn linear_shapes() {

@@ -125,6 +125,35 @@ impl CsrMatrix {
         coo.to_csr()
     }
 
+    /// Builds a CSR matrix from its arrays: `row_ptr` holds `rows + 1`
+    /// offsets into `col_idx`/`values`, whose columns must be strictly
+    /// increasing within each row (the layout [`CooBuilder::to_csr`]
+    /// produces).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arrays violate that layout (see
+    /// [`CsrMatrix::validate`]).
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        assert_eq!(col_idx.len(), values.len(), "one column per CSR value");
+        let m = CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        };
+        let checked = m.validate();
+        assert!(checked.is_ok(), "inconsistent CSR parts: {checked:?}");
+        m
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

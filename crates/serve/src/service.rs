@@ -1167,14 +1167,10 @@ fn forward_batch(work: &[(Arc<LoadedModel>, PredictInput)]) -> Vec<Result<Vec<f6
                 .collect()
         }
     });
-    // Every index is covered by exactly one task; the placeholder only
-    // survives if a task were somehow dropped.
-    let mut results: Vec<Result<Vec<f64>>> =
-        work.iter().map(|_| Err(ServeError::ShuttingDown)).collect();
-    for pairs in produced {
-        for (i, r) in pairs {
-            results[i] = r;
-        }
-    }
-    results
+    // Every index is covered by exactly one task, so ordering the pairs
+    // by index yields one result per work item.
+    let mut pairs: Vec<(usize, Result<Vec<f64>>)> = produced.into_iter().flatten().collect();
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(pairs.iter().enumerate().all(|(k, &(i, _))| k == i));
+    pairs.into_iter().map(|(_, r)| r).collect()
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use stco_cells::encode::{CellGraph, FEATURE_DIM};
 use stco_nn::ad::{segment_mean_forward, Graph};
-use stco_nn::gnn::{GcnLayer, GraphBatch, GraphData};
+use stco_nn::gnn::{block_normalized_adjacency, GcnLayer};
 use stco_nn::layers::{Activation, Mlp};
 use stco_nn::optim::Adam;
 use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
@@ -149,31 +149,32 @@ impl BatchedCellGraph {
     /// Panics if `graphs` is empty.
     pub fn pack(graphs: &[&CellGraph]) -> Self {
         assert!(!graphs.is_empty(), "cannot pack zero cell graphs");
-        let gds: Vec<GraphData> = graphs
-            .iter()
-            .map(|graph| GraphData {
-                node_features: Matrix::from_vec(
-                    graph.num_nodes(),
-                    FEATURE_DIM,
-                    graph.features.clone(),
-                ),
-                edges: graph.edges.clone(),
-                edge_features: Matrix::zeros(graph.edges.len(), 0),
-            })
-            .collect();
-        let refs: Vec<&GraphData> = gds.iter().collect();
-        let mut batch = GraphBatch::from_graphs(&refs);
+        let num_nodes = graphs.iter().map(|g| g.num_nodes()).sum();
+        let mut features = Vec::with_capacity(num_nodes * FEATURE_DIM);
+        let mut seg = Vec::with_capacity(num_nodes);
+        for (gi, graph) in graphs.iter().enumerate() {
+            assert_eq!(
+                graph.features.len(),
+                graph.num_nodes() * FEATURE_DIM,
+                "cell graph {gi}: one feature row per node"
+            );
+            features.extend_from_slice(&graph.features);
+            seg.extend(std::iter::repeat_n(gi, graph.num_nodes()));
+        }
         // The union's normalized adjacency is exactly the block-diagonal
         // stack of the per-graph ones: disjoint components keep their
         // degrees, so every row holds the same values in the same
         // (ascending-column) order, merely shifted.
-        let adj = Arc::new(batch.merged.normalized_adjacency());
-        let features = std::mem::take(&mut batch.merged.node_features);
+        let adj = block_normalized_adjacency(
+            graphs
+                .iter()
+                .map(|graph| (graph.num_nodes(), graph.edges.as_slice())),
+        );
         BatchedCellGraph {
-            adj,
-            features,
-            seg: batch.node_graph_ids,
-            num_graphs: batch.num_graphs,
+            adj: Arc::new(adj),
+            features: Matrix::from_vec(num_nodes, FEATURE_DIM, features),
+            seg: Arc::new(seg),
+            num_graphs: graphs.len(),
         }
     }
 

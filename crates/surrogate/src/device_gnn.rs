@@ -5,12 +5,14 @@
 //! encoding followed by an ELU MLP head, trained on standardized
 //! targets. They differ only in the [`Task`] — encoding features,
 //! readout and target — and in their head widths. [`DeviceGnn`] owns
-//! everything else: the one tape forward, the training loop,
-//! prediction, the Table II evaluation and the artifact round-trip.
+//! everything else: the tape forward that training records, the
+//! tape-free forward that prediction and validation run (bitwise equal
+//! to it), the training loop, the Table II evaluation and the artifact
+//! round-trip.
 
 use std::sync::Arc;
 
-use stco_nn::ad::{Graph, NodeId};
+use stco_nn::ad::{mse_forward, segment_mean_forward, Graph, NodeId};
 use stco_nn::gnn::{GraphData, RelGatStack};
 use stco_nn::layers::{Activation, Mlp};
 use stco_nn::optim::Adam;
@@ -57,8 +59,7 @@ struct Net {
 
 impl Net {
     /// The RelGAT stack, readout and MLP head over one encoded device
-    /// graph, recorded on `g`: the one forward behind training,
-    /// validation and prediction.
+    /// graph, recorded on `g` for training.
     fn forward(
         &self,
         g: &mut Graph,
@@ -75,6 +76,25 @@ impl Net {
             h = g.segment_mean(h, Arc::new(vec![0; n]), 1);
         }
         self.head.forward(g, params, h)
+    }
+
+    /// The same forward tape-free, reading `weights` in place (see
+    /// [`stco_nn::layers::Linear::infer`]); it equals [`Net::forward`]
+    /// bit for bit.
+    fn infer(&self, weights: &[Matrix], graph: &GraphData, src: &[usize], dst: &[usize]) -> Matrix {
+        let mut h = self.stack.infer(
+            weights,
+            &graph.node_features,
+            &graph.edge_features,
+            src,
+            dst,
+        );
+        if let Readout::MeanPool = self.task.readout {
+            let mut pooled = Matrix::zeros(1, h.cols());
+            segment_mean_forward(&h, &vec![0; h.rows()], 1, &mut pooled);
+            h = pooled;
+        }
+        self.head.infer(weights, &h)
     }
 
     /// MSE of the forward against an item's standardized target.
@@ -196,10 +216,8 @@ impl DeviceGnn {
                 }
                 let mut total = 0.0;
                 for item in &val_encoded {
-                    total += Graph::with_scratch(|g| {
-                        let loss = net.loss(g, params, item);
-                        g.value(loss).get(0, 0)
-                    });
+                    let pred = net.infer(params.values(), &item.graph, &item.src, &item.dst);
+                    total += mse_forward(pred.as_slice(), item.target.as_slice());
                 }
                 total / val_encoded.len() as f64
             }),
@@ -227,18 +245,14 @@ impl DeviceGnn {
         self.predict_graph(&encode_device(sample, self.net.task.features))
     }
 
-    /// Predicts from an already-encoded device graph, on the
-    /// thread-local scratch tape.
+    /// Predicts from an already-encoded device graph, tape-free.
     pub(crate) fn predict_graph(&self, graph: &GraphData) -> Vec<f64> {
         let (src, dst) = index_lists(graph);
-        Graph::with_scratch(|g| {
-            let pred = self.net.forward(g, &self.params, graph, &src, &dst);
-            g.value(pred)
-                .as_slice()
-                .iter()
-                .map(|v| v * self.target_std + self.target_mean)
-                .collect()
-        })
+        let pred = self.net.infer(self.params.values(), graph, &src, &dst);
+        pred.as_slice()
+            .iter()
+            .map(|v| v * self.target_std + self.target_mean)
+            .collect()
     }
 
     /// Normalized-target MSE and R² (the Table II metrics) over a
@@ -318,4 +332,61 @@ pub struct RegressionMetrics {
     pub r_squared: f64,
     /// Number of scalar predictions evaluated.
     pub count: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{iv_predictor, poisson_emulator};
+    use stco_numerics::rng::Xorshift;
+    use stco_tcad::dataset::generate_dataset;
+    use stco_tcad::materials::Technology;
+
+    /// The tape-free prediction equals the tape forward, denormalized the
+    /// same way, bit for bit: through the per-node readout of the Poisson
+    /// emulator and the mean-pooled one of the IV predictor, with one and
+    /// two heads, on random weights and biases.
+    #[test]
+    fn predict_graph_matches_tape_forward_bitwise() -> Result<()> {
+        let samples = generate_dataset(7, 2, &[Technology::Igzo])?;
+        let mut rng = Xorshift::new(3);
+        for task in [poisson_emulator::TASK, iv_predictor::TASK] {
+            for heads in [1, 2] {
+                let mut model = DeviceGnn::new(task, 5, 2, heads, 4, &[6]);
+                let tensors: Vec<Matrix> = model
+                    .params
+                    .export_tensors()
+                    .into_iter()
+                    .map(|m| {
+                        let data = (0..m.rows() * m.cols())
+                            .map(|_| rng.uniform_in(-1.0, 1.0))
+                            .collect();
+                        Matrix::from_vec(m.rows(), m.cols(), data)
+                    })
+                    .collect();
+                import_weights(&mut model.params, &tensors)?;
+                model.target_mean = 0.3;
+                model.target_std = 1.7;
+                for sample in &samples {
+                    let graph = encode_device(sample, task.features);
+                    let (src, dst) = index_lists(&graph);
+                    let mut g = Graph::new();
+                    let pred = model.net.forward(&mut g, &model.params, &graph, &src, &dst);
+                    let tape: Vec<u64> = g
+                        .value(pred)
+                        .as_slice()
+                        .iter()
+                        .map(|v| (v * model.target_std + model.target_mean).to_bits())
+                        .collect();
+                    let inferred: Vec<u64> = model
+                        .predict_graph(&graph)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    assert_eq!(inferred, tape, "{:?} readout, {heads} heads", task.readout);
+                }
+            }
+        }
+        Ok(())
+    }
 }

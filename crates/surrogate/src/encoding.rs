@@ -24,6 +24,7 @@ use stco_numerics::Matrix;
 use stco_tcad::dataset::DeviceSample;
 use stco_tcad::materials::{ChannelParams, Material};
 use stco_tcad::mesh::Region;
+use stco_tcad::poisson::PotentialSolution;
 
 /// Which self-consistent features to inject (task dependent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,22 +89,6 @@ pub fn encode_device(sample: &DeviceSample, task: TaskFeatures) -> GraphData {
         row[base + 2] = sample.bias.gate;
         row[base + 3] = sample.bias.drain;
         row[base + 4] = device.quasi_fermi(x, sample.bias);
-        // Task-specific self-consistent features.
-        let sc = base + 5;
-        match task {
-            TaskFeatures::Poisson | TaskFeatures::Iv => {
-                let dens = sample.solution.carrier_density[i];
-                row[sc] = if dens > 0.0 {
-                    (dens.log10() - 18.0) / 10.0
-                } else {
-                    -3.0
-                };
-                if task == TaskFeatures::Iv {
-                    row[sc + 1] = sample.solution.psi[i];
-                }
-            }
-            TaskFeatures::None => {}
-        }
         features.extend(row);
     }
 
@@ -129,7 +114,38 @@ pub fn encode_device(sample: &DeviceSample, task: TaskFeatures) -> GraphData {
         edge_features: Matrix::from_vec(edge_feats.len() / EDGE_DIM, EDGE_DIM, edge_feats),
     };
     graph.add_self_loops();
+    write_self_consistent(&mut graph, &sample.solution, task);
     graph
+}
+
+/// Column of the log-charge-density slot; the potential slot follows it.
+const SELF_CONSISTENT_COL: usize = NODE_DIM - 2;
+
+/// Writes the task-specific self-consistent node features of `solution`
+/// — log charge density for both tasks, plus the potential for the IV
+/// predictor — into an encoded device graph, leaving every other feature
+/// as it is. [`encode_device`] fills its slots here, so a graph whose
+/// solution changed and was refreshed by this equals a fresh encoding of
+/// the new solution bit for bit, without re-encoding the mesh.
+pub fn write_self_consistent(
+    graph: &mut GraphData,
+    solution: &PotentialSolution,
+    task: TaskFeatures,
+) {
+    if task == TaskFeatures::None {
+        return;
+    }
+    for (i, &dens) in solution.carrier_density.iter().enumerate() {
+        let row = &mut graph.node_features.row_mut(i)[SELF_CONSISTENT_COL..];
+        row[0] = if dens > 0.0 {
+            (dens.log10() - 18.0) / 10.0
+        } else {
+            -3.0
+        };
+        if task == TaskFeatures::Iv {
+            row[1] = solution.psi[i];
+        }
+    }
 }
 
 /// Node-regression targets for the Poisson emulator: the potential map.
@@ -199,6 +215,39 @@ mod tests {
         let sc_q = NODE_DIM - 2;
         assert_eq!(gn.node_features.get(channel_node, sc_q), 0.0);
         assert_ne!(gp.node_features.get(channel_node, sc_q), 0.0);
+    }
+
+    /// Refreshing the self-consistent slots after the solution changed
+    /// reproduces a fresh encoding of the new solution bit for bit.
+    #[test]
+    fn refreshed_graph_equals_fresh_encoding() {
+        let s = sample();
+        let mut changed = s.clone();
+        for (d, p) in changed
+            .solution
+            .carrier_density
+            .iter_mut()
+            .zip(&mut changed.solution.psi)
+        {
+            *d *= 3.5;
+            *p += 0.25;
+        }
+        changed.solution.carrier_density[0] = 0.0;
+        for task in [TaskFeatures::Poisson, TaskFeatures::Iv, TaskFeatures::None] {
+            let mut refreshed = encode_device(&s, task);
+            write_self_consistent(&mut refreshed, &changed.solution, task);
+            let fresh = encode_device(&changed, task);
+            let bits = |g: &GraphData| -> Vec<u64> {
+                g.node_features
+                    .as_slice()
+                    .iter()
+                    .chain(g.edge_features.as_slice())
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&refreshed), bits(&fresh), "{task:?}");
+            assert_eq!(refreshed.edges, fresh.edges, "{task:?}");
+        }
     }
 
     #[test]

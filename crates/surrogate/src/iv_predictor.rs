@@ -70,7 +70,7 @@ impl IvConfig {
 
 /// The predictor's task: charge-density and potential features in, one
 /// `log₁₀|I_D|` per device out.
-const TASK: Task = Task {
+pub(crate) const TASK: Task = Task {
     features: TaskFeatures::Iv,
     readout: Readout::MeanPool,
     target: |sample| Matrix::from_vec(1, 1, vec![sample.log_current()]),

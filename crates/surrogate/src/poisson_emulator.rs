@@ -67,7 +67,7 @@ impl PoissonConfig {
 
 /// The emulator's task: charge-density features in, one potential per
 /// mesh node out.
-const TASK: Task = Task {
+pub(crate) const TASK: Task = Task {
     features: TaskFeatures::Poisson,
     readout: Readout::PerNode,
     target: potential_targets,
