@@ -19,7 +19,6 @@ use stco_compact::extract::{extract_parameters, TransferCurve};
 use stco_compact::tech::{Corner, TechnologyCard};
 use stco_numerics::interp::Bilinear;
 use stco_surrogate::cell_model::{metric_index, CellModel};
-use stco_surrogate::encoding::{encode_device, write_self_consistent, TaskFeatures};
 use stco_surrogate::iv_predictor::IvPredictor;
 use stco_surrogate::poisson_emulator::PoissonEmulator;
 use stco_system::bench_gen::Benchmark;
@@ -382,7 +381,7 @@ pub fn fast_device_solution(
     // refresh the charge from the predicted ψ. The device is encoded once;
     // later sweeps only rewrite the charge slot of that graph.
     const SWEEPS: usize = 3;
-    let mut graph = encode_device(&sample, TaskFeatures::Poisson);
+    let mut graph = poisson.encode(&sample);
     for sweep in 0..SWEEPS {
         let mut predicted = poisson.predict_graph(&graph);
         // Keep electrodes pinned exactly.
@@ -393,7 +392,7 @@ pub fn fast_device_solution(
         }
         sample.solution = derived_solution(&device, bias, predicted);
         if sweep + 1 < SWEEPS {
-            write_self_consistent(&mut graph, &sample.solution, TaskFeatures::Poisson);
+            poisson.refresh(&mut graph, &sample.solution);
         }
     }
     Ok(sample)

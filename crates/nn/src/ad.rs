@@ -969,74 +969,13 @@ pub fn mse_forward(pred: &[f64], target: &[f64]) -> f64 {
 pub(crate) fn add_row_broadcast_forward<T: Scalar>(x: &mut Dense<T>, b: &Dense<T>) {
     assert_eq!(b.rows(), 1, "broadcast operand must be a row vector");
     assert_eq!(x.cols(), b.cols(), "broadcast width mismatch");
-    for i in 0..x.rows() {
-        for (o, &bv) in x.row_mut(i).iter_mut().zip(b.row(0)) {
-            *o += bv;
-        }
-    }
-}
-
-/// Output columns [`linear_forward`] holds in registers per row.
-const LINEAR_LANES: usize = 8;
-
-/// `out = x·W + b` into the zeroed `out`: the tape's matmul and bias add.
-///
-/// Outputs wider than `2 · LINEAR_LANES` run [`Dense::gemm_into`] and
-/// then the bias loop. Narrower ones — the RelGAT projections, whose
-/// edge projection has `k = 3` — run a row kernel that sums each output
-/// in registers from zero in ascending `k` and adds the bias last: the
-/// same rounded op sequence per element as the GEMM contract, so the
-/// bits do not depend on the path.
-///
-/// # Panics
-///
-/// Panics if the shapes disagree.
-// stco-hot
-pub(crate) fn linear_forward<T: Scalar>(
-    x: &Dense<T>,
-    w: &Dense<T>,
-    b: &Dense<T>,
-    out: &mut Dense<T>,
-) {
-    let n = w.cols();
-    if n > 2 * LINEAR_LANES {
-        x.gemm_into(w, out);
-        add_row_broadcast_forward(out, b);
+    let b = b.row(0);
+    if b.is_empty() {
         return;
     }
-    assert_eq!(x.cols(), w.rows(), "linear shape mismatch");
-    assert_eq!(
-        (out.rows(), out.cols()),
-        (x.rows(), n),
-        "linear output shape"
-    );
-    assert_eq!((b.rows(), b.cols()), (1, n), "bias must be 1×n");
-    let (ws, bs) = (w.as_slice(), b.row(0));
-    let lanes_end = n - n % LINEAR_LANES;
-    for c0 in (0..lanes_end).step_by(LINEAR_LANES) {
-        let mut bias = [T::default(); LINEAR_LANES];
-        bias.copy_from_slice(&bs[c0..c0 + LINEAR_LANES]);
-        for i in 0..x.rows() {
-            let mut acc = [T::default(); LINEAR_LANES];
-            for (&xv, wrow) in x.row(i).iter().zip(ws.chunks_exact(n)) {
-                let wrow = &wrow[c0..c0 + LINEAR_LANES];
-                for l in 0..LINEAR_LANES {
-                    acc[l] += xv * wrow[l];
-                }
-            }
-            let orow = &mut out.row_mut(i)[c0..c0 + LINEAR_LANES];
-            for l in 0..LINEAR_LANES {
-                orow[l] = acc[l] + bias[l];
-            }
-        }
-    }
-    for c in lanes_end..n {
-        for i in 0..x.rows() {
-            let mut acc = T::default();
-            for (&xv, wrow) in x.row(i).iter().zip(ws.chunks_exact(n)) {
-                acc += xv * wrow[c];
-            }
-            out.row_mut(i)[c] = acc + bs[c];
+    for row in x.as_mut_slice().chunks_exact_mut(b.len()) {
+        for (o, &bv) in row.iter_mut().zip(b) {
+            *o += bv;
         }
     }
 }

@@ -327,9 +327,6 @@ impl RelGatLayer {
     }
 }
 
-/// Edges whose attention logits [`attention_scores`] sums side by side.
-const SCORE_LANES: usize = 4;
-
 /// Attention logits of one head before the LeakyReLU,
 /// `aᵀ[h_dst ‖ h_src ‖ he_k] + b` for every edge `k`, into `scores`;
 /// `attn` is `(a, b)`, the `3·head_dim` attention column and its bias.
@@ -337,9 +334,7 @@ const SCORE_LANES: usize = 4;
 /// The dot product runs in the tape's order — dst part, src part, edge
 /// part, then the bias — so each logit equals the tape's concat-and-GEMM
 /// bit for bit. The dst part is a prefix of that sum and depends only on
-/// the destination, so it is computed once per node into `dst_part`;
-/// edges then run [`SCORE_LANES`] at a time, whose independent sums
-/// overlap instead of waiting on one add chain.
+/// the destination, so it is computed once per node into `dst_part`.
 // stco-hot
 fn attention_scores(
     h: &Matrix,
@@ -362,28 +357,9 @@ fn attention_scores(
     for (i, p) in dst_part.iter_mut().enumerate() {
         *p = dot(0.0, h.row(i), a_dst);
     }
-    let full = src.len() - src.len() % SCORE_LANES;
-    for k in (0..full).step_by(SCORE_LANES) {
-        let mut acc: [f64; SCORE_LANES] = std::array::from_fn(|l| dst_part[dst[k + l]]);
-        let hs: [&[f64]; SCORE_LANES] = std::array::from_fn(|l| h.row(src[k + l]));
-        let he_k: [&[f64]; SCORE_LANES] = std::array::from_fn(|l| he.row(k + l));
-        for (j, &w) in a_src.iter().enumerate() {
-            for (acc, row) in acc.iter_mut().zip(&hs) {
-                *acc += row[j] * w;
-            }
-        }
-        for (j, &w) in a_edge.iter().enumerate() {
-            for (acc, row) in acc.iter_mut().zip(&he_k) {
-                *acc += row[j] * w;
-            }
-        }
-        for (o, acc) in scores[k..k + SCORE_LANES].iter_mut().zip(acc) {
-            *o = acc + b;
-        }
-    }
-    for k in full..src.len() {
-        let acc = dot(dst_part[dst[k]], h.row(src[k]), a_src);
-        scores[k] = dot(acc, he.row(k), a_edge) + b;
+    for (k, ((&s, &d), score)) in src.iter().zip(dst).zip(scores).enumerate() {
+        let acc = dot(dst_part[d], h.row(s), a_src);
+        *score = dot(acc, he.row(k), a_edge) + b;
     }
 }
 

@@ -4,7 +4,7 @@
 use stco_numerics::{Dense, Matrix, Scalar};
 
 use crate::ad::{
-    elu_forward, layer_norm_forward, leaky_relu_forward, linear_forward, relu_forward,
+    add_row_broadcast_forward, elu_forward, layer_norm_forward, leaky_relu_forward, relu_forward,
     sigmoid_forward, tanh_forward, Graph, NodeId,
 };
 use crate::{ParamId, Params};
@@ -124,14 +124,14 @@ impl Linear {
 
     /// Computes `x·W + b` tape-free, reading `W` and `b` in place from
     /// `weights`: the model's tensors in canonical order, i.e.
-    /// [`Params::values`] or a narrowed copy of it. Each output element
-    /// is summed in the tape's GEMM order and then biased (see
-    /// `linear_forward`), so in `f64` the result equals
+    /// [`Params::values`] or a narrowed copy of it. The GEMM and bias
+    /// loops are the tape's own, so in `f64` the result equals
     /// [`Linear::forward`] bit for bit.
     pub fn infer<T: Scalar>(&self, weights: &[Dense<T>], x: &Dense<T>) -> Dense<T> {
         let (w, b) = self.weights(weights);
         let mut out = Dense::zeros(x.rows(), w.cols());
-        linear_forward(x, w, b, &mut out);
+        x.gemm_into(w, &mut out);
+        add_row_broadcast_forward(&mut out, b);
         out
     }
 }

@@ -114,11 +114,13 @@ impl<T: Scalar> Dense<T> {
 
     /// Accumulating GEMM: `out += self · rhs`, no allocation.
     ///
-    /// Dispatches to the cache-blocked, register-tiled kernel in
-    /// [`crate::gemm`] once the product is large enough to amortize the
-    /// pack step ([`crate::gemm::use_blocked`]); MNA-sized products stay
-    /// on the naive ikj loop. Both paths produce bitwise-identical
-    /// results (proptest-pinned), so the dispatch is invisible to the
+    /// Outputs at most [`crate::gemm::NARROW_MAX_COLS`] wide run the
+    /// register row kernel [`crate::gemm::gemm_nn_narrow`]. Wider ones
+    /// go to the cache-blocked, register-tiled kernel once the product
+    /// is large enough to amortize the pack step
+    /// ([`crate::gemm::use_blocked`]), and stay on the naive ikj loop
+    /// below that. All three produce bitwise-identical results
+    /// (proptest-pinned), so the dispatch is invisible to the
     /// determinism contract.
     ///
     /// The dense path deliberately has no per-scalar zero-skip: on dense
@@ -131,7 +133,9 @@ impl<T: Scalar> Dense<T> {
     /// Panics if `self.cols() != rhs.rows()` or `out` is not
     /// `self.rows() × rhs.cols()`.
     pub fn gemm_into(&self, rhs: &Self, out: &mut Self) {
-        if gemm::use_blocked(self.rows, rhs.cols, self.cols) {
+        if rhs.cols <= gemm::NARROW_MAX_COLS {
+            self.gemm_into_narrow(rhs, out);
+        } else if gemm::use_blocked(self.rows, rhs.cols, self.cols) {
             self.gemm_into_blocked(rhs, out);
         } else {
             self.gemm_into_naive(rhs, out);
@@ -139,7 +143,8 @@ impl<T: Scalar> Dense<T> {
     }
 
     /// The naive ikj kernel behind [`Matrix::gemm_into`]: the proptest
-    /// oracle for the blocked path and the small-product fast path.
+    /// oracle for the narrow and blocked paths, and the path for small
+    /// products wider than the narrow one takes.
     // stco-hot
     pub fn gemm_into_naive(&self, rhs: &Self, out: &mut Self) {
         self.check_nn_shapes(rhs, out);
@@ -154,6 +159,20 @@ impl<T: Scalar> Dense<T> {
                 }
             }
         }
+    }
+
+    /// The narrow-output row kernel behind [`Matrix::gemm_into`],
+    /// callable directly at any width by proptests and benches.
+    pub fn gemm_into_narrow(&self, rhs: &Self, out: &mut Self) {
+        self.check_nn_shapes(rhs, out);
+        gemm::gemm_nn_narrow(
+            self.rows,
+            rhs.cols,
+            self.cols,
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+        );
     }
 
     /// The blocked kernel behind [`Matrix::gemm_into`], callable directly

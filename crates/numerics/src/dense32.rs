@@ -66,6 +66,22 @@ mod tests {
     }
 
     #[test]
+    fn narrow_matches_naive_bitwise() {
+        let (m, k) = (7, 5);
+        for n in [1, 4, 8, 13, 24] {
+            let a = MatrixF32::from_vec(m, k, (0..m * k).map(|i| (i as f32).sin()).collect());
+            let b = MatrixF32::from_vec(k, n, (0..k * n).map(|i| (i as f32).cos()).collect());
+            let mut naive = MatrixF32::zeros(m, n);
+            let mut narrow = MatrixF32::zeros(m, n);
+            a.gemm_into_naive(&b, &mut naive);
+            a.gemm_into_narrow(&b, &mut narrow);
+            for (x, y) in naive.as_slice().iter().zip(narrow.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn blocked_matches_naive_bitwise() {
         let n = 40;
         let vals: Vec<f32> = (0..n * n)

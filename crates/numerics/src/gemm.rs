@@ -12,6 +12,9 @@
 //!   multiply-then-add per step, exactly as the ikj/kij loops do. KC
 //!   panels are applied in ascending order so blocking never reorders
 //!   the per-element op sequence.
+//! * [`gemm_nn_narrow`], for outputs too narrow to pack, replays the
+//!   same direct accumulation, holding a few columns of each row of
+//!   `out` in registers while `k` ascends.
 //! * [`gemm_nt_blocked`] mirrors `gemm_nt_into`'s `out += dot(a, b)`
 //!   shape instead: a fresh zero-seeded accumulator swept over the
 //!   *full* `k` extent (no KC split — splitting would add a rounded
@@ -47,6 +50,15 @@ pub const NC: usize = 256;
 /// MNA-sized SPICE systems (≈24³ ≈ 14k) lose to pack overhead, while
 /// one GAT layer (64×32 · 32×32 = 65k) already wins.
 pub const BLOCK_MIN_FLOPS: usize = 32 * 1024;
+
+/// Outputs at most this many columns wide take [`gemm_nn_narrow`] in
+/// `gemm_into`, whatever the other extents. Measured against the naive
+/// and blocked kernels on a 2-vCPU Xeon (x86-64-v3) over 16–1171 rows
+/// and depths 3–64: up to 24 columns the row kernel is faster on 20–24
+/// of 24 shapes (geometric-mean time 0.25–0.75×), except at widths that
+/// leave three single tail columns (7, 15: 10–12 of 24); wider outputs
+/// lose up to 1.5× at depth 3, and from 40 columns it wins on about half.
+pub const NARROW_MAX_COLS: usize = 3 * NR;
 
 /// Dispatch predicate shared by every `gemm_*_into` entry point.
 #[inline]
@@ -418,6 +430,59 @@ fn gemm_direct_blocked<T: Scalar>(
                 }
             }
         }
+    }
+}
+
+/// Row kernel `out += A·B` for row-major `A: m×k`, `B: k×n`, `out: m×n`,
+/// for outputs too narrow to amortize the blocked kernel's packing.
+///
+/// The columns of `out` go in groups of `NR`, then one group of `NR / 2`
+/// if at least that many remain, then one by one. Within a group each
+/// row's outputs are held in registers, seeded from `out` and summed in
+/// ascending `k`: the naive ikj kernel's rounded op sequence per
+/// element, without its store and reload of `out` at every `k`.
+// stco-hot
+pub fn gemm_nn_narrow<T: Scalar>(m: usize, n: usize, k: usize, a: &[T], b: &[T], out: &mut [T]) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(out.len(), m * n);
+    let full = n - n % NR;
+    for c0 in (0..full).step_by(NR) {
+        narrow_group::<T, NR>(m, n, k, a, b, out, c0);
+    }
+    let mut c0 = full;
+    if n - full >= NR / 2 {
+        narrow_group::<T, { NR / 2 }>(m, n, k, a, b, out, c0);
+        c0 += NR / 2;
+    }
+    for c in c0..n {
+        narrow_group::<T, 1>(m, n, k, a, b, out, c);
+    }
+}
+
+/// Columns `c0..c0 + W` of [`gemm_nn_narrow`], row by row.
+// stco-hot
+#[inline(always)]
+fn narrow_group<T: Scalar, const W: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[T],
+    b: &[T],
+    out: &mut [T],
+    c0: usize,
+) {
+    for i in 0..m {
+        let orow = &mut out[i * n + c0..i * n + c0 + W];
+        let mut acc = [T::default(); W];
+        acc.copy_from_slice(orow);
+        for (&av, brow) in a[i * k..(i + 1) * k].iter().zip(b.chunks_exact(n)) {
+            let brow = &brow[c0..c0 + W];
+            for l in 0..W {
+                acc[l] += av * brow[l];
+            }
+        }
+        orow.copy_from_slice(&acc);
     }
 }
 

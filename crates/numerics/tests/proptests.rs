@@ -176,6 +176,28 @@ proptest! {
     }
 
     #[test]
+    fn narrow_gemm_nn_bitwise_matches_naive_oracle(
+        shape in (1usize..20, 0usize..40, 0usize..20),
+        seed in 1u64..u64::MAX,
+        fill in -3.0..3.0f64,
+    ) {
+        // Widths across full 8-column groups, the 4-column group and
+        // single tail columns, through the always-narrow entry point,
+        // accumulating into a nonzero out.
+        let (m, n, k) = shape;
+        let mut rng = stco_numerics::rng::Xorshift::new(seed | 1);
+        let a = Matrix::from_vec(m, k, (0..m * k).map(|_| rng.uniform_in(-5.0, 5.0)).collect());
+        let b = Matrix::from_vec(k, n, (0..k * n).map(|_| rng.uniform_in(-5.0, 5.0)).collect());
+        let mut naive = Matrix::full(m, n, fill);
+        let mut narrow = naive.clone();
+        a.gemm_into_naive(&b, &mut naive);
+        a.gemm_into_narrow(&b, &mut narrow);
+        for (x, y) in narrow.as_slice().iter().zip(naive.as_slice()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
     fn blocked_gemm_nt_bitwise_matches_naive_oracle(
         shape in (1usize..20, 1usize..20, 0usize..20),
         seed in 1u64..u64::MAX,

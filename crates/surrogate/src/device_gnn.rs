@@ -23,9 +23,12 @@ use stco_obs::json::JsonValue;
 use stco_par::ParConfig;
 use stco_store::{Artifact, StoreError};
 use stco_tcad::dataset::DeviceSample;
+use stco_tcad::poisson::PotentialSolution;
 
 use crate::artifact::{import_weights, pack_model, unpack_model};
-use crate::encoding::{encode_device, index_lists, TaskFeatures, EDGE_DIM, NODE_DIM};
+use crate::encoding::{
+    encode_device, index_lists, write_self_consistent, TaskFeatures, EDGE_DIM, NODE_DIM,
+};
 use crate::{Result, SurrogateError};
 
 /// How node embeddings become the model output.
@@ -185,11 +188,11 @@ impl DeviceGnn {
         let encoded: Vec<Encoded> = train
             .iter()
             .zip(targets)
-            .map(|(s, t)| self.encode(s, t))
+            .map(|(s, t)| self.encode_item(s, t))
             .collect();
         let val_encoded: Vec<Encoded> = val
             .iter()
-            .map(|s| self.encode(s, (self.net.task.target)(s)))
+            .map(|s| self.encode_item(s, (self.net.task.target)(s)))
             .collect();
 
         let mut adam = Adam::with_learning_rate(learning_rate);
@@ -225,9 +228,10 @@ impl DeviceGnn {
         Ok(history)
     }
 
-    /// Encodes a sample with its target standardized.
-    fn encode(&self, sample: &DeviceSample, mut target: Matrix) -> Encoded {
-        let graph = encode_device(sample, self.net.task.features);
+    /// Encodes a training item: the sample's graph with its target
+    /// standardized.
+    fn encode_item(&self, sample: &DeviceSample, mut target: Matrix) -> Encoded {
+        let graph = self.encode(sample);
         let (src, dst) = index_lists(&graph);
         for v in target.as_mut_slice() {
             *v = (*v - self.target_mean) / self.target_std;
@@ -240,9 +244,20 @@ impl DeviceGnn {
         }
     }
 
+    /// Encodes `sample` with this task's self-consistent features.
+    pub(crate) fn encode(&self, sample: &DeviceSample) -> GraphData {
+        encode_device(sample, self.net.task.features)
+    }
+
+    /// Rewrites the self-consistent features of a graph from
+    /// [`DeviceGnn::encode`] to those of `solution`.
+    pub(crate) fn refresh(&self, graph: &mut GraphData, solution: &PotentialSolution) {
+        write_self_consistent(graph, solution, self.net.task.features);
+    }
+
     /// Predicts the target of one sample, in original units.
     pub(crate) fn predict(&self, sample: &DeviceSample) -> Vec<f64> {
-        self.predict_graph(&encode_device(sample, self.net.task.features))
+        self.predict_graph(&self.encode(sample))
     }
 
     /// Predicts from an already-encoded device graph, tape-free.

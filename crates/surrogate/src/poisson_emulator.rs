@@ -17,6 +17,7 @@ use stco_nn::gnn::GraphData;
 use stco_nn::train::TrainConfig;
 use stco_obs::json::JsonValue;
 use stco_tcad::dataset::DeviceSample;
+use stco_tcad::poisson::PotentialSolution;
 
 use crate::artifact::{meta_usize, num};
 use crate::device_gnn::{DeviceGnn, Readout, Task};
@@ -129,6 +130,20 @@ impl PoissonEmulator {
     /// Predicts the potential map of one sample (volts).
     pub fn predict(&self, sample: &DeviceSample) -> Vec<f64> {
         self.core.predict(sample)
+    }
+
+    /// Encodes `sample` as the emulator's input graph: the unified device
+    /// encoding with the charge-density slot filled.
+    pub fn encode(&self, sample: &DeviceSample) -> GraphData {
+        self.core.encode(sample)
+    }
+
+    /// Rewrites the charge-density slot of a graph from
+    /// [`PoissonEmulator::encode`] for a new `solution` on the same mesh.
+    /// The result equals a fresh encoding of the updated sample bit for
+    /// bit, without re-encoding the mesh.
+    pub fn refresh(&self, graph: &mut GraphData, solution: &PotentialSolution) {
+        self.core.refresh(graph, solution);
     }
 
     /// Predicts the potential map from an already-encoded device graph
@@ -251,6 +266,22 @@ mod tests {
         let p = model.predict(&data[0]);
         assert_eq!(p.len(), data[0].device.mesh().num_nodes());
         assert!(p.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn refreshed_graph_predicts_like_a_fresh_encoding() -> Result<()> {
+        let data = generate_dataset(22, 2, &[Technology::Ltps])?;
+        let model = PoissonEmulator::new(PoissonConfig::default());
+        let mut changed = data[0].clone();
+        changed.solution = data[1].solution.clone();
+        let mut graph = model.encode(&data[0]);
+        model.refresh(&mut graph, &changed.solution);
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(model.predict_graph(&graph)),
+            bits(model.predict(&changed))
+        );
+        Ok(())
     }
 
     #[test]
